@@ -15,10 +15,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from ..dds import DdsProblem, exact_dp
-from ..metagraph import TruthValue, TypedMetagraph
+from ..metagraph import IGNORANCE, TruthValue, TypedMetagraph, as_view
 from .pln import SingularityError, cwig, deduction, inversion
-
-IGNORANCE = TruthValue(0.5, 0.0)
 
 
 def implication_kb(nodes: dict, edges: list) -> TypedMetagraph:
@@ -42,7 +40,7 @@ class KbModel:
 
     @classmethod
     def from_view(cls, view) -> "KbModel":
-        view = view.snapshot() if isinstance(view, TypedMetagraph) else view
+        view = as_view(view)
         priors = {}
         names = {}
         for node in view.nodes():
@@ -127,11 +125,7 @@ def _candidates(model: KbModel, rules) -> list:
     out = []
     for rule in rules:
         for premises, conclusion, tv in rule.instantiate(model):
-            prior = model.belief(conclusion)
-            if tv == prior:
-                reward = 0.0
-            else:
-                reward = cwig(prior, tv, panels=2000)
+            reward = cwig(model.belief(conclusion), tv)
             out.append((premises, rule.name, conclusion, tv, reward))
     out.sort(key=lambda c: (c[0], c[1], c[2]))
     return out

@@ -8,7 +8,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ..metagraph import TypedMetagraph
+from ..metagraph import as_view
 
 
 @dataclass
@@ -26,7 +26,7 @@ def ecan_run(view, q: float, steps: int, seed: int = 0,
     `utility(step, x, y) -> reward` attributes payoff to each transfer."""
     if q <= 0:
         raise ValueError("transfer quantum must be > 0")
-    view = view.snapshot() if isinstance(view, TypedMetagraph) else view
+    view = as_view(view)
     rng = random.Random(seed)
     sti = {a.id: a.sti for a in view.atoms.values()}
     neighbors: dict = {i: [] for i in sti}

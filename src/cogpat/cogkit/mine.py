@@ -13,7 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from ..metagraph import TypedMetagraph
+from ..metagraph import TypedMetagraph, as_view
 
 Clause = tuple  # (edge_type, (var, var))
 
@@ -48,7 +48,7 @@ def disj(*clauses) -> Pattern:
 
 
 def _kb_edges(view) -> list:
-    view = view.snapshot() if isinstance(view, TypedMetagraph) else view
+    view = as_view(view)
     return [e for e in view.edges() if len(e.targets) == 2]
 
 
@@ -123,6 +123,10 @@ class MinedPattern:
     surprisingness: float
 
 
+def _pattern_key(p: Pattern) -> tuple:
+    return (p.kind, p.sorted_clauses)  # unlike repr, free of hash order
+
+
 def _fresh_var(pattern: Pattern) -> str:
     used = {v for _, vs in pattern.clauses for v in vs}
     i = 0
@@ -140,7 +144,7 @@ def mine_patterns(view, seeds, min_freq: float, budget: int,
         raise ValueError("budget must be >= 0")
     if executor not in ("greedy", "weighted"):
         raise ValueError(f"unknown executor {executor!r}")
-    view = view.snapshot() if isinstance(view, TypedMetagraph) else view
+    view = as_view(view)
     rng = random.Random(seed)
     edge_types = sorted({e.type_label for e in _kb_edges(view)})
 
@@ -162,7 +166,7 @@ def mine_patterns(view, seeds, min_freq: float, budget: int,
                         for v in vs:
                             out.append(p.combine(conj((etype, (v, fresh)))))
                             out.append(p.combine(conj((etype, (fresh, v)))))
-        for p, q in itertools.combinations(sorted(pool, key=repr), 2):
+        for p, q in itertools.combinations(sorted(pool, key=_pattern_key), 2):
             if p.kind == q.kind:
                 out.append(p.combine(q))
         return [c for c in out if c not in pool]
@@ -176,7 +180,7 @@ def mine_patterns(view, seeds, min_freq: float, budget: int,
         if not keepable:
             break
         if executor == "greedy":
-            chosen = max(keepable, key=lambda m: (m.frequency, repr(m.pattern)))
+            chosen = max(keepable, key=lambda m: (m.frequency, _pattern_key(m.pattern)))
         else:
             chosen = rng.choices(
                 keepable, weights=[m.frequency + 1e-9 for m in keepable], k=1
@@ -184,5 +188,5 @@ def mine_patterns(view, seeds, min_freq: float, budget: int,
         pool[chosen.pattern] = chosen
     return sorted(
         (m for m in pool.values() if m.frequency >= min_freq),
-        key=lambda m: (-m.frequency, repr(m.pattern)),
+        key=lambda m: (-m.frequency, _pattern_key(m.pattern)),
     )

@@ -1,6 +1,7 @@
 """Truth-value calculus: strength/confidence inference formulas under the
-independence assumption, and the confidence-weighted information gain (KL
-divergence between the beta fits of two truth values)."""
+independence assumption, and the confidence-weighted information gain: the
+KL divergence between the beta fits of two truth values, in closed form
+(Penny 2001), with digamma by recurrence and asymptotic series (AS 103)."""
 
 from __future__ import annotations
 
@@ -51,35 +52,30 @@ def induction(ba: TruthValue, bc: TruthValue, a_prior: float, b_prior: float,
     return deduction(ab, bc, b_prior, c_prior, k=k)
 
 
-def _log_beta_pdf(x: float, a: float, b: float) -> float:
-    if x <= 0.0 or x >= 1.0:
-        raise ValueError("x must be interior")
-    return (
-        (a - 1.0) * math.log(x)
-        + (b - 1.0) * math.log1p(-x)
-        - (math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
-    )
+def _digamma(x: float) -> float:
+    """psi(x) for x >= 1: recur up past 6, then the asymptotic series."""
+    shift = 0.0
+    while x < 6.0:
+        shift += 1.0 / x
+        x += 1.0
+    r = 1.0 / (x * x)
+    series = r * (1 / 12 - r * (1 / 120 - r * (1 / 252 - r * (1 / 240 - r / 132))))
+    return math.log(x) - 0.5 / x - series - shift
 
 
-def cwig(before: TruthValue, after: TruthValue, panels: int = 20_000) -> float:
+def cwig(before: TruthValue, after: TruthValue) -> float:
     """Information gained moving from one truth value to another: the KL
-    divergence of the after-beta from the before-beta, in nats, by composite
-    Simpson quadrature on the open interval."""
+    divergence of the after-beta from the before-beta, in nats, in closed
+    form (the two-component case of the Dirichlet KL).  Both beta fits have
+    parameters >= 1, the domain `_digamma` covers."""
     a1, b1 = after.beta_params
     a0, b0 = before.beta_params
     if (a1, b1) == (a0, b0):
         return 0.0
-    eps = 1e-9
-    lo, hi = eps, 1.0 - eps
-    h = (hi - lo) / panels
-
-    def integrand(x: float) -> float:
-        lp_after = _log_beta_pdf(x, a1, b1)
-        if lp_after < -700.0:
-            return 0.0
-        return math.exp(lp_after) * (lp_after - _log_beta_pdf(x, a0, b0))
-
-    total = integrand(lo) + integrand(hi)
-    for i in range(1, panels):
-        total += (4.0 if i % 2 else 2.0) * integrand(lo + i * h)
-    return max(0.0, total * h / 3.0)
+    lg = math.lgamma  # ln B(a0, b0) - ln B(a1, b1) on the next line
+    return max(0.0, (
+        lg(a0) + lg(b0) - lg(a0 + b0) - lg(a1) - lg(b1) + lg(a1 + b1)
+        + (a1 - a0) * _digamma(a1)
+        + (b1 - b0) * _digamma(b1)
+        + (a0 - a1 + b0 - b1) * _digamma(a1 + b1)
+    ))

@@ -288,6 +288,9 @@ class TypedMetagraph(_MgBase):
         for slot in d.get("dangling", ()):
             mg.declare_dangling(slot["type"])
         entries = sorted(d.get("atoms", ()), key=lambda e: e["id"])
+        for prev, e in zip(entries, entries[1:]):
+            if prev["id"] == e["id"]:
+                raise MgIntegrityError(f"duplicate atom id {e['id']}")
         for e in entries:
             tv = TruthValue.from_dict(e["tv"]) if "tv" in e else None
             atom_id = mg.add_atom(

@@ -1,8 +1,13 @@
 import json
+import os
+import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cogpat
 from cogpat.cli import main
 from cogpat.dds import exact_dp
 from cogpat.fixtures import (
@@ -14,6 +19,16 @@ from cogpat.fixtures import (
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+REPO = FIXTURES.parent
+
+# runs each command (argv lists, JSON) in one process, output under argv[1]
+RUN_COMMANDS = """
+import json, sys
+from cogpat.cli import main
+for i, argv in enumerate(json.loads(sys.argv[2])):
+    if main(argv + ["--out", f"{sys.argv[1]}/{i}"]) != 0:
+        sys.exit(f"non-zero exit: {argv}")
+"""
 
 
 def run(*argv) -> int:
@@ -42,6 +57,15 @@ class TestLoaders:
         bad.write_text('{"stages": 2, "states": {}}')
         with pytest.raises(FixtureError, match="actions"):
             load_dds(bad)
+
+    def test_duplicate_atom_id_named(self, tmp_path):
+        data = json.loads((FIXTURES / "kb_social.json").read_text())
+        data["atoms"].append(dict(data["atoms"][0], type="Impostor"))
+        bad = tmp_path / "dup.json"
+        bad.write_text(json.dumps(data))
+        with pytest.raises(FixtureError, match="duplicate atom id 0"):
+            load_metagraph(bad)
+        assert run("cog", "ecan", "--fixture", bad, "--out", tmp_path) == 2
 
     def test_rules_fixture(self):
         rules = load_rules(FIXTURES / "rules.json")
@@ -160,6 +184,48 @@ class TestDeterminism:
         assert run("cog", "evolve", "--budget", 300, "--seed", 9, "--out", c) == 0
         assert (a / "evolve.json").read_bytes() == (b / "evolve.json").read_bytes()
         assert (b / "evolve.json").read_bytes() == (c / "evolve.json").read_bytes()
+
+
+def readme_commands() -> list:
+    commands = []
+    for line in (REPO / "README.md").read_text().splitlines():
+        if line.startswith("cogpat "):
+            argv = shlex.split(line)[1:]
+            assert argv[-2:] == ["--out", "out"]
+            commands.append(argv[:-2])
+    return commands
+
+
+def tree_bytes(root: Path) -> dict:
+    return {
+        str(p.relative_to(root)): p.read_bytes()
+        for p in sorted(root.rglob("*")) if p.is_file()
+    }
+
+
+class TestHashSeedIndependence:
+    def test_readme_commands_match_across_hash_seeds(self, tmp_path):
+        commands = readme_commands()
+        assert len(commands) == 15
+        src = str(Path(cogpat.__file__).resolve().parents[1])
+        procs = {}
+        for hash_seed in ("0", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src, env.get("PYTHONPATH")) if p
+            )
+            procs[hash_seed] = subprocess.Popen(
+                [sys.executable, "-c", RUN_COMMANDS, str(tmp_path / hash_seed),
+                 json.dumps(commands)],
+                cwd=REPO, env=env, stdout=subprocess.DEVNULL,
+                stderr=subprocess.PIPE, text=True,
+            )
+        for proc in procs.values():
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+        trees = {h: tree_bytes(tmp_path / h) for h in procs}
+        assert len({p.split(os.sep)[0] for p in trees["0"]}) == len(commands)
+        assert trees["0"] == trees["2"]
 
 
 class TestVerifySuites:

@@ -78,6 +78,14 @@ class TestAddAtom:
         with pytest.raises(MgIntegrityError):
             mg.add_edge("Inheritance", [0, 9])
 
+    def test_duplicate_ids_rejected_on_load(self):
+        atoms = [
+            {"id": 0, "kind": "node", "type": "A"},
+            {"id": 0, "kind": "node", "type": "B"},
+        ]
+        with pytest.raises(MgIntegrityError, match="duplicate atom id 0"):
+            TypedMetagraph.from_dict({"atoms": atoms})
+
     def test_version_strictly_increases(self):
         mg = TypedMetagraph()
         seen = [mg.version]
