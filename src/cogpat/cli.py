@@ -9,6 +9,7 @@ overrides the default only when --seed is absent.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -23,6 +24,7 @@ from .cogkit import (
     ecan_run,
     evolve,
     forward_chain,
+    greedy_merges,
     mine_patterns,
     one_max,
     point_mutation,
@@ -349,24 +351,13 @@ def cmd_subpattern_dag(args) -> int:
 def _five_item_alignment():
     """Greedy two-group agglomeration of five planar points, aligned against
     the union-merge subpattern dag over the blocks it visits."""
-    import itertools
-
-    from .cogkit.cluster import _merge, partition_quality
-
     points = {0: (0.0, 0.0), 1: (0.0, 1.0), 2: (10.0, 0.0), 3: (10.0, 1.0), 4: (10.0, 2.0)}
     dist = lambda x, y: (
         (points[x][0] - points[y][0]) ** 2 + (points[x][1] - points[y][1]) ** 2
     ) ** 0.5
-    blocks = frozenset(frozenset([i]) for i in points)
     trace = []
-    while len(blocks) > 2:
-        a, b = max(
-            itertools.combinations(sorted(blocks, key=sorted), 2),
-            key=lambda ab: partition_quality(_merge(blocks, *ab), dist),
-        )
-        blocks = _merge(blocks, a, b)
-        trace.append((a | b, a))
-        trace.append((a | b, b))
+    for _, a, b in greedy_merges(sorted(points), dist, 2):
+        trace += [(a | b, a), (a | b, b)]
     items = sorted({v for edge in trace for v in edge}, key=sorted)
     sm = SimplicityMeasure(
         sigma=lambda s: float(len(s) ** 2), sigma_star=lambda name, y, z: 1.0
@@ -418,6 +409,7 @@ def cmd_morph_demo(args) -> int:
 # argument parsing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--fixture", help="path to a JSON fixture")

@@ -3,7 +3,9 @@ arguments that look promising, scored by entropy reduction.
 
 The hypothesis class is a finite weighted list of candidate functions, so
 promising sets and their entropies are exactly computable.  The adapter at
-the bottom renders the whole loop as a DdsProblem for the dds solvers.
+the bottom renders the whole loop as a DdsProblem for the dds solvers: the
+datasets reachable from the start, one stage per added pair
+(`dds.reachable_problem`).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
-from .dds import DdsProblem
+from .dds import DdsProblem, reachable_problem
 
 
 class CofoError(Exception):
@@ -256,36 +258,11 @@ def make_cofo_dds(
         z = p.combinators[c](x, y)
         return extend_dataset(d, (z, p.f(z)))
 
-    # reachable datasets per stage, deduplicated by sorted key
-    layers: list[list[Dataset]] = [[d0]]
-    for _t in range(1, horizon):
-        seen: dict = {}
-        for d in layers[-1]:
-            for a in action_set(d):
-                d2 = successor(d, a)
-                seen.setdefault(dataset_key(d2), d2)
-        layers.append(list(seen.values()))
-
-    def states(t: int):
-        if 1 <= t <= horizon:
-            return layers[t - 1]
-        return []
-
     def reward(t, d, action):
         return info_gain(p, d, successor(d, action)).bits
 
-    def transition(t, d, action):
-        return [(successor(d, action), 1.0)]
-
-    return DdsProblem(
-        n=horizon,
-        states=states,
-        actions=lambda t, d: action_set(d),
-        reward=reward,
-        transition=transition,
-        alpha=1.0,
-        state_key=dataset_key,
-    )
+    return reachable_problem(d0, horizon, lambda t, d: action_set(d), successor, reward,
+                             state_key=dataset_key)
 
 
 # ---------------------------------------------------------------------------

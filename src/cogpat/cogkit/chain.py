@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from ..dds import DdsProblem, exact_dp
+from ..dds import plan
 from ..metagraph import IGNORANCE, TruthValue, TypedMetagraph, as_view
 from .pln import SingularityError, cwig, deduction, inversion
 
@@ -70,8 +70,9 @@ class Rule:
 
 def deduction_rule() -> Rule:
     def instantiate(model: KbModel):
-        for (a, b), ab in sorted(model.stmts.items()):
-            for (b2, c), bc in sorted(model.stmts.items()):
+        stmts = sorted(model.stmts.items())
+        for (a, b), ab in stmts:
+            for (b2, c), bc in stmts:
                 if b2 != b or c == a or (a, b) == (b2, c):
                     continue
                 try:
@@ -189,38 +190,19 @@ def _forward_chain_dds(model: KbModel, rules, steps: int) -> ChainResult:
             return state
         return tuple(sorted(set(state) | {(conclusion, tv)}))
 
-    layers = [[()]]
-    for _ in range(1, steps):
-        seen = {}
-        for st in layers[-1]:
-            for act in actions(0, st):
-                nxt = successor(st, act)
-                seen.setdefault(nxt, nxt)
-        layers.append(list(seen))
-
-    problem = DdsProblem(
-        n=steps,
-        states=lambda t: layers[t - 1] if 1 <= t <= steps else [],
-        actions=actions,
-        reward=lambda t, s, x: x[4],
-        transition=lambda t, s, x: [(successor(s, x), 1.0)],
-        action_key=lambda x: repr((x[1], x[2])),
-    )
+    steps_taken, end = plan((), steps, actions, successor, lambda t, s, x: x[4],
+                            action_key=lambda x: repr((x[1], x[2])))
     trace = []
     added = {}
-    state = ()
     stalled = False
-    vf = exact_dp(problem)
-    for t in range(1, steps + 1):
-        best = vf.best_action(t, problem.state_key(state))
-        premises, rname, conclusion, tv, reward = best
+    for _, (premises, rname, conclusion, tv, reward) in steps_taken:
         if conclusion is None:
+            # a pass leaves the state, and so its lone pass action, unchanged
             stalled = True
             break
-        state = successor(state, best)
         added[conclusion] = tv
         trace.append((premises, rname, conclusion, reward))
-    return ChainResult(added, trace, stalled, rebuild(state))
+    return ChainResult(added, trace, stalled, rebuild(end))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from ..dds import DdsProblem, exact_dp
+from ..dds import plan
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,26 @@ def _clustering(blocks, n, distance) -> Clustering:
                       logical_entropy(blocks, n))
 
 
+def _key(pair) -> tuple:
+    """Sorted tuple of sorted blocks: the sort key of a merge pair."""
+    return tuple(sorted(tuple(sorted(b)) for b in pair))
+
+
+def _pairs(blocks) -> list:
+    return list(itertools.combinations(sorted(blocks, key=sorted), 2))
+
+
+def greedy_merges(items, distance, k: int):
+    """Greedy agglomeration from singletons down to k blocks.  Each step
+    merges the pair whose merge gives the best partition quality (ties to
+    the first pair in sorted order) and yields (blocks after, a, b)."""
+    blocks = frozenset(frozenset([x]) for x in items)
+    while len(blocks) > k:
+        a, b = max(_pairs(blocks), key=lambda ab: partition_quality(_merge(blocks, *ab), distance))
+        blocks = _merge(blocks, a, b)
+        yield blocks, a, b
+
+
 def agglomerate(items, distance, k: int, executor: str = "greedy") -> Clustering:
     items = sorted(items)
     n = len(items)
@@ -56,59 +76,14 @@ def agglomerate(items, distance, k: int, executor: str = "greedy") -> Clustering
     if k == n:
         return _clustering(start, n, distance)
     if executor == "greedy":
-        blocks = start
-        while len(blocks) > k:
-            best = max(
-                (
-                    _merge(blocks, a, b)
-                    for a, b in itertools.combinations(sorted(blocks, key=sorted), 2)
-                ),
-                key=lambda bl: partition_quality(bl, distance),
-            )
-            blocks = best
+        *_, (blocks, _, _) = greedy_merges(items, distance, k)
         return _clustering(blocks, n, distance)
     if executor == "exact_dp":
         if n > 7:
             raise ValueError("exact clustering is limited to n <= 7")
-        return _agglomerate_exact(items, distance, k)
+        reward = lambda t, bl, ab: (
+            partition_quality(_merge(bl, *ab), distance) - partition_quality(bl, distance))
+        _, blocks = plan(start, n - k, lambda t, bl: _pairs(bl), lambda bl, ab: _merge(bl, *ab),
+                         reward, action_key=_key)
+        return _clustering(blocks, n, distance)
     raise ValueError(f"unknown executor {executor!r}")
-
-
-def _agglomerate_exact(items, distance, k: int) -> Clustering:
-    n = len(items)
-    steps = n - k
-    start = frozenset(frozenset([x]) for x in items)
-
-    def actions(t, blocks):
-        return [
-            (a, b)
-            for a, b in itertools.combinations(sorted(blocks, key=sorted), 2)
-        ]
-
-    def reward(t, blocks, action):
-        merged = _merge(blocks, *action)
-        return partition_quality(merged, distance) - partition_quality(blocks, distance)
-
-    layers = [[start]]
-    for _ in range(1, steps):
-        seen = {}
-        for blocks in layers[-1]:
-            for act in actions(0, blocks):
-                seen.setdefault(_merge(blocks, *act), True)
-        layers.append(list(seen))
-
-    problem = DdsProblem(
-        n=steps,
-        states=lambda t: layers[t - 1] if 1 <= t <= steps else [],
-        actions=actions,
-        reward=reward,
-        transition=lambda t, s, x: [(_merge(s, *x), 1.0)],
-        state_key=lambda blocks: tuple(sorted(tuple(sorted(b)) for b in blocks)),
-        action_key=lambda act: tuple(sorted(tuple(sorted(b)) for b in act)),
-    )
-    vf = exact_dp(problem)
-    blocks = start
-    for t in range(1, steps + 1):
-        act = vf.best_action(t, problem.state_key(blocks))
-        blocks = _merge(blocks, *act)
-    return _clustering(blocks, n, distance)

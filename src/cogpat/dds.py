@@ -2,9 +2,12 @@
 
 A problem is staged: states per stage, feasible actions per (stage,
 state), immediate reward, and a transition distribution (deterministic
-transitions are point masses).  Solvers: greedy rollout, exact backward
-induction, sampled stochastic backward induction, and a memoized
-unfold/collapse solver over the subproblem dag.
+transitions are point masses).  Solvers: greedy rollout, and one Bellman
+step run three ways: exact backward induction and sampled stochastic
+backward induction (one stage loop, two continuation estimators), and a
+memoized unfold/collapse over the subproblem dag (`morphisms.memo_recurse`).
+`reachable_problem` builds the deterministic problem over the states
+reachable from a start; `plan` solves it exactly and replays the argmax.
 """
 
 from __future__ import annotations
@@ -13,8 +16,9 @@ import csv
 import io
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import Any, Callable, Mapping, Sequence
 
 from .morphisms import memo_recurse
 
@@ -154,37 +158,50 @@ def _cell_budget_check(p: DdsProblem, budget_cells: int) -> None:
                 raise SizeError(f"cell budget {budget_cells} exceeded at stage {t}")
 
 
-def _bellman_value(p, t, s, x, next_value: Callable[[Any], float]) -> float:
-    r = p.reward(t, s, x)
-    if t >= p.n:
-        return r
-    cont = 0.0
-    for s2, pr in p.checked_transition(t, s, x):
-        cont += pr * next_value(s2)
-    return r + p.alpha * cont
-
-
-def _best(p, t, s, value_of_action: Callable[[Any], float]) -> Cell:
+def _bellman(p, t, s, cont: Callable[[list], float]) -> Cell:
+    """The Bellman step at (t, s): reward plus discounted continuation,
+    maximized over the feasible actions in key order.  `cont(dist)` values
+    an action's successor distribution."""
     acts = p.sorted_actions(t, s)
     if not acts:
         return Cell(NEG_INF, ())
-    vals = [(value_of_action(x), x) for x in acts]
+    vals = []
+    for x in acts:
+        v = p.reward(t, s, x)
+        if t < p.n:
+            v += p.alpha * cont(p.checked_transition(t, s, x))
+        vals.append((v, x))
     best = max(v for v, _ in vals)
     # the equality arm keeps -inf ties (their difference is nan, not 0)
     argmax = tuple(x for v, x in vals if v == best or abs(v - best) <= 1e-12)
     return Cell(best, argmax)
 
 
-def exact_dp(p: DdsProblem, budget_cells: int = 10**6) -> ValueFunction:
-    """Backward induction over the full stage/state tables."""
+def _expectation(dist, value: Callable[[Any], float]) -> float:
+    cont = 0.0
+    for s2, pr in dist:
+        cont += pr * value(s2)
+    return cont
+
+
+def _backward_induction(p: DdsProblem, budget_cells: int, estimate) -> ValueFunction:
+    """Stages descending, states in layer order, one Bellman cell each.
+    `estimate(dist, value)` is the continuation estimator, where `value(s2)`
+    reads the solved next-stage value of s2."""
     _cell_budget_check(p, budget_cells)
     vf = ValueFunction(p.n)
+    table = vf.table
     for t in range(p.n, 0, -1):
+        value = lambda s2: table[(t + 1, p.state_key(s2))].value
+        cont = lambda dist: estimate(dist, value)
         for s in p.states(t):
-            nxt = lambda s2: vf.value(t + 1, p.state_key(s2))
-            cell = _best(p, t, s, lambda x: _bellman_value(p, t, s, x, nxt))
-            vf.table[(t, p.state_key(s))] = cell
+            table[(t, p.state_key(s))] = _bellman(p, t, s, cont)
     return vf
+
+
+def exact_dp(p: DdsProblem, budget_cells: int = 10**6) -> ValueFunction:
+    """Backward induction over the full stage/state tables."""
+    return _backward_induction(p, budget_cells, _expectation)
 
 
 def stochastic_dp(p: DdsProblem, rollouts: int, seed: int, budget_cells: int = 10**6) -> ValueFunction:
@@ -192,26 +209,16 @@ def stochastic_dp(p: DdsProblem, rollouts: int, seed: int, budget_cells: int = 1
     sampled successor states; full action sweep per cell."""
     if rollouts < 1:
         raise DdsError("rollouts must be >= 1")
-    _cell_budget_check(p, budget_cells)
     rng = random.Random(seed)
-    vf = ValueFunction(p.n)
-    for t in range(p.n, 0, -1):
-        for s in p.states(t):
-            def value_of_action(x):
-                r = p.reward(t, s, x)
-                if t >= p.n:
-                    return r
-                dist = p.checked_transition(t, s, x)
-                succ, probs = zip(*dist)
-                if len(succ) == 1:
-                    cont = vf.value(t + 1, p.state_key(succ[0]))  # point mass
-                else:
-                    draws = rng.choices(succ, weights=probs, k=rollouts)
-                    cont = sum(vf.value(t + 1, p.state_key(d)) for d in draws) / rollouts
-                return r + p.alpha * cont
 
-            vf.table[(t, p.state_key(s))] = _best(p, t, s, value_of_action)
-    return vf
+    def sampled(dist, value):
+        succ, probs = zip(*dist)
+        if len(succ) == 1:
+            return value(succ[0])  # point mass
+        draws = rng.choices(succ, weights=probs, k=rollouts)
+        return sum(value(d) for d in draws) / rollouts
+
+    return _backward_induction(p, budget_cells, sampled)
 
 
 def greedy_run(p: DdsProblem, s0, mode: str = "argmax", seed: int = 0) -> Trajectory:
@@ -279,40 +286,79 @@ def policy_from(vf: ValueFunction) -> dict:
 
 
 def chrono_solve(p: DdsProblem, budget_cells: int = 10**6) -> ValueFunction:
-    """Unfold the subproblem dag from every stage root, collapse it with a
-    memoized recursion on the Bellman step.  Matches exact_dp entrywise."""
+    """Unfold the (stage, state) subproblem dag from a virtual root over
+    every stage's states, collapse it post-order with `memo_recurse` on the
+    Bellman step.  Matches exact_dp entrywise."""
     _cell_budget_check(p, budget_cells)
-    vf = ValueFunction(p.n)
-    memo: dict[tuple[int, Any], Cell] = {}
-    hits = 0
+    # nodes are (t, state key, state); the virtual root is stage 0
+    roots = [(t, p.state_key(s), s) for t in range(1, p.n + 1) for s in p.states(t)]
 
-    def children_of(seed):
-        t, s = seed
+    def children_of(node):
+        t, _, s = node
+        if t == 0:
+            return roots
         if t >= p.n:
             return []
-        out = []
-        for x in p.sorted_actions(t, s):
-            for s2, _pr in p.checked_transition(t, s, x):
-                out.append((t + 1, s2))
-        return out
+        return [(t + 1, p.state_key(s2), s2)
+                for x in p.sorted_actions(t, s) for s2, _ in p.transition(t, s, x)]
 
-    def solve(seed) -> Cell:
-        nonlocal hits
-        t, s = seed
-        key = (t, p.state_key(s))
-        if key in memo:
-            hits += 1
-            return memo[key]
-        nxt = lambda s2: solve((t + 1, s2)).value
-        cell = _best(p, t, s, lambda x: _bellman_value(p, t, s, x, nxt))
-        memo[key] = cell
-        return cell
+    def compute(node, cells):
+        t, _, s = node
+        if t == 0:
+            return None
+        # cells arrive in children order, which is the order the step reads them
+        nxt = iter(cells).__next__
+        pull = lambda _s2: nxt().value
+        return _bellman(p, t, s, lambda dist: _expectation(dist, pull))
 
-    for t in range(1, p.n + 1):
-        for s in p.states(t):
-            vf.table[(t, p.state_key(s))] = solve((t, s))
+    _, memo, hits = memo_recurse((0, None, None), children_of, compute, key=itemgetter(0, 1))
+    vf = ValueFunction(p.n)
+    vf.table = {node[:2]: memo[node[:2]] for node in roots}
     vf.memo_hits = hits
     return vf
+
+
+def reachable_problem(start, horizon: int, actions, successor, reward,
+                      state_key=lambda s: s, action_key=lambda a: a) -> DdsProblem:
+    """The deterministic problem over the states reachable from `start`.
+
+    Stage 1 holds `start`; stage t + 1 holds the successors of stage t's
+    states under every action, deduplicated by `state_key` with the first
+    representative kept.  `actions(t, s)` and `reward(t, s, x)` are as in
+    `DdsProblem`; `successor(s, x)` is the next state.
+    """
+    layers = [[start]]
+    for t in range(1, horizon):
+        seen: dict = {}
+        for s in layers[-1]:
+            for x in actions(t, s):
+                s2 = successor(s, x)
+                seen.setdefault(state_key(s2), s2)
+        layers.append(list(seen.values()))
+    return DdsProblem(
+        n=horizon,
+        states=lambda t: layers[t - 1] if 1 <= t <= horizon else [],
+        actions=actions,
+        reward=reward,
+        transition=lambda t, s, x: [(successor(s, x), 1.0)],
+        state_key=state_key,
+        action_key=action_key,
+    )
+
+
+def plan(start, horizon: int, actions, successor, reward,
+         state_key=lambda s: s, action_key=lambda a: a):
+    """Solve `reachable_problem(...)` with exact_dp and replay the first
+    argmax action from `start`.  Returns the (state, action) steps and the
+    state they end in."""
+    p = reachable_problem(start, horizon, actions, successor, reward, state_key, action_key)
+    vf = exact_dp(p)
+    steps, s = [], start
+    for t in range(1, horizon + 1):
+        x = vf.best_action(t, state_key(s))
+        steps.append((s, x))
+        s = successor(s, x)
+    return steps, s
 
 
 # ---------------------------------------------------------------------------
@@ -354,17 +400,14 @@ def greedy_fold_optimize(view, candidates, objective, start, budget: int) -> Opt
             evals += 1
         if not scored:
             break
-        best_val, best_c = max(scored, key=lambda vc: (vc[0], -_key_rank(vc[1], cands)))
+        # max returns the first of tied candidates, the lowest in sorted order
+        best_val, best_c = max(scored, key=lambda vc: vc[0])
         if best_val <= current_val:
             converged = True
             break
         current, current_val = best_c, best_val
         trail.append((current, current_val))
     return OptimizeResult(current, current_val, trail, evals, converged)
-
-
-def _key_rank(c, cands):
-    return cands.index(c)
 
 
 def single_peak_audit(points, candidates, objective) -> bool:

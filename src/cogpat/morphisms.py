@@ -79,22 +79,10 @@ class Coalgebra:
 
 def order_atoms(view: MgView, order) -> list[int]:
     ids = sorted(view.atoms)
-    if order == "insertion":
+    # add_atom accepts only targets already present and from_dict inserts in
+    # id order, so every target id is below its edge's: id order is topological
+    if order in ("insertion", "topological"):
         return ids
-    if order == "topological":
-        placed: set[int] = set()
-        out: list[int] = []
-        pending = list(ids)
-        while pending:
-            for i in pending:
-                if all(t in placed for t in view.atoms[i].targets if t >= 0):
-                    out.append(i)
-                    placed.add(i)
-                    pending.remove(i)
-                    break
-            else:
-                raise MgError("target cycle; no topological order")
-        return out
     if isinstance(order, tuple) and order[0] == "random":
         rng = random.Random(order[1])
         ids = list(ids)
@@ -381,23 +369,38 @@ def memo_recurse(
     key: Callable[[Any], Any] = lambda s: s,
 ):
     """Post-order evaluation over the dag spanned by `children_of`, with
-    memoization on `key`.  Returns (value at root, memo table, hit count)."""
+    memoization on `key`.  Returns (value at root, memo table, hit count).
+
+    Runs on an explicit stack, so depth is bounded by memory, not by the
+    interpreter's recursion limit.  A child is looked up in the memo when
+    its turn comes, as a recursive visit would.
+    """
     memo: dict = {}
     hits = 0
-
-    def visit(s):
-        nonlocal hits
-        k = key(s)
-        if k in memo:
-            hits += 1
-            return memo[k]
-        vals = [visit(c) for c in children_of(s)]
-        v = compute(s, vals)
-        memo[k] = v
-        return v
-
-    visit(root)
-    return memo[key(root)], memo, hits
+    root_key = key(root)
+    open_keys = {root_key}  # keys of the frames on the stack
+    # frame: (seed, its key, iterator over its children, child values so far)
+    stack = [(root, root_key, iter(children_of(root)), [])]
+    while stack:
+        seed, seed_key, children, vals = stack[-1]
+        for c in children:
+            k = key(c)
+            if k in memo:
+                hits += 1
+                vals.append(memo[k])
+                continue
+            if k in open_keys:
+                raise ValueError(f"children_of has a cycle through {c!r}")
+            open_keys.add(k)
+            stack.append((c, k, iter(children_of(c)), []))
+            break
+        else:
+            stack.pop()
+            open_keys.discard(seed_key)
+            v = memo[seed_key] = compute(seed, vals)
+            if stack:
+                stack[-1][3].append(v)
+    return memo[root_key], memo, hits
 
 
 # ---------------------------------------------------------------------------

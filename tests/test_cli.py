@@ -269,3 +269,40 @@ class TestOtherCommands:
         data = json.loads((tmp_path / "cofo_run.json").read_text())
         assert data["starting_quality"] > 0.0
         assert data["achievable_entropy_drop"] >= 0.0
+
+
+class TestEveryExecutor:
+    """`dds solve` and `cofo run` under each executor on the shipped
+    fixtures; chrono must reproduce dp's artifacts."""
+
+    @staticmethod
+    def solve(tmp_path, executor, *cmd) -> dict:
+        out = tmp_path / executor
+        assert run(*cmd, "--executor", executor, "--out", out) == 0
+        return {f.name: f.read_text() for f in sorted(out.iterdir())}
+
+    @pytest.mark.parametrize("executor", ["chrono", "sdp", "greedy"])
+    def test_dds_solve(self, tmp_path, executor):
+        cmd = ("dds", "solve", "--fixture", FIXTURES / "gd1.json")
+        ref, got = self.solve(tmp_path, "dp", *cmd), self.solve(tmp_path, executor, *cmd)
+        ref_json, got_json = json.loads(ref["solve.json"]), json.loads(got["solve.json"])
+        assert got_json["executor"] == executor
+        if executor == "greedy":
+            assert got_json["total"] <= ref_json["value"]
+            return
+        # gd1 is deterministic, so the sampled backup is exact too
+        assert got["value_function.csv"] == ref["value_function.csv"]
+        assert got_json["value"] == ref_json["value"] == 5.0
+        assert got_json["best_action"] == ref_json["best_action"]
+
+    @pytest.mark.parametrize("executor", ["chrono", "sdp", "greedy"])
+    def test_cofo_run(self, tmp_path, executor):
+        cmd = ("cofo", "run", "--budget", 2, "--fixture", FIXTURES / "cofo_two_hypotheses.json")
+        ref = json.loads(self.solve(tmp_path, "dp", *cmd)["cofo_run.json"])
+        got = json.loads(self.solve(tmp_path, executor, *cmd)["cofo_run.json"])
+        assert got["executor"] == executor
+        assert got["starting_quality"] == ref["starting_quality"]
+        if executor == "greedy":
+            assert got["achievable_entropy_drop"] <= ref["achievable_entropy_drop"]
+        else:
+            assert got["achievable_entropy_drop"] == ref["achievable_entropy_drop"]

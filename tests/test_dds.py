@@ -1,7 +1,10 @@
+import gc
 import itertools
+import random
 import statistics
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cogpat.dds import (
     DeadEndError,
@@ -17,8 +20,10 @@ from cogpat.dds import (
     gd1_stochastic,
     greedy_fold_optimize,
     greedy_run,
+    plan,
     policy_from,
     random_problem,
+    reachable_problem,
     single_peak_audit,
     stochastic_dp,
 )
@@ -177,6 +182,15 @@ class TestStochasticDp:
         assert medians[0] > medians[1] > medians[2]
         assert medians[2] / abs(exact_v) < 0.05
 
+    # the sampler's draw order (stages descending, states in layer order,
+    # actions in key order, only non-point masses) is pinned by these values
+    def test_pinned_value_gd1_noisy(self):
+        assert stochastic_dp(gd1_noisy(), rollouts=50, seed=4).value(1, "A") == 3.08
+
+    def test_pinned_table_sum_random_problem(self):
+        vf = stochastic_dp(random_problem(11, stochastic=True), rollouts=7, seed=3)
+        assert sum(c.value for c in vf.table.values()) == 113.95555694169096
+
 
 class TestEvaluatePolicy:
     def test_optimal_policy_mean(self):
@@ -227,6 +241,88 @@ class TestChronoSolve:
             for key, cell in a.table.items():
                 assert b.value(*key) == pytest.approx(cell.value, abs=1e-9)
                 assert b.argmax(*key) == cell.argmax
+
+
+    def test_deep_chain_matches_exact(self):
+        p = one_state_chain(3000)
+        assert chrono_solve(p).value(1, "s") == exact_dp(p).value(1, "s") == 3000.0
+
+    def test_leaves_no_reference_cycles(self):
+        p = wide_problem(random.Random(5), stages=25, width=100, actions=4)
+        gc.collect()
+        gc.disable()
+        try:
+            chrono_solve(p)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+def one_state_chain(n):
+    return DdsProblem(
+        n=n,
+        states=lambda t: ["s"],
+        actions=lambda t, s: ["a"],
+        reward=lambda t, s, x: 1.0,
+        transition=lambda t, s, x: [("s", 1.0)],
+    )
+
+
+def wide_problem(rng, stages, width, actions):
+    """stages x width x actions cells; half the actions spread over two or
+    three next-stage states."""
+    spec = {"stages": stages, "states": {}, "actions": {}}
+    for t in range(1, stages + 1):
+        spec["states"][str(t)] = [f"s{i}" for i in range(width)]
+        spec["actions"][str(t)] = per_state = {}
+        for i in range(width):
+            per_state[f"s{i}"] = acts = []
+            for j in range(actions):
+                act = {"name": f"a{j}", "reward": rng.uniform(-2.0, 5.0)}
+                if t < stages:
+                    succ = rng.sample(range(width), rng.choice([1, 2, 3]))
+                    raw = [rng.random() + 0.05 for _ in succ]
+                    act["next"] = {f"s{k}": w / sum(raw) for k, w in zip(succ, raw)}
+                acts.append(act)
+    return DdsProblem.from_tables(spec)
+
+
+class TestReachablePlanner:
+    def test_layers_keep_first_representative(self):
+        p = reachable_problem(
+            "", 3,
+            actions=lambda t, s: ["b", "a"],
+            successor=lambda s, x: s + x,
+            reward=lambda t, s, x: 0.0,
+            state_key=lambda s: "".join(sorted(s)),
+        )
+        assert p.states(1) == [""]
+        assert p.states(2) == ["b", "a"]
+        assert p.states(3) == ["bb", "ba", "aa"]
+        assert p.states(4) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_plan_path_reward_is_exact_value(self, data):
+        m = data.draw(st.integers(1, 4), "states")
+        horizon = data.draw(st.integers(1, 4), "horizon")
+        acts = {s: data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True))
+                for s in range(m)}
+        nxt = {(s, x): data.draw(st.integers(0, m - 1)) for s in range(m) for x in acts[s]}
+        rew = {(t, s, x): float(data.draw(st.integers(-3, 5)))
+               for t in range(1, horizon + 1) for s in range(m) for x in acts[s]}
+        args = (0, horizon, lambda t, s: acts[s], lambda s, x: nxt[(s, x)],
+                lambda t, s, x: rew[(t, s, x)])
+
+        def best(t, s):  # brute force over every action sequence
+            if t > horizon:
+                return 0.0
+            return max(rew[(t, s, x)] + best(t + 1, nxt[(s, x)]) for x in acts[s])
+
+        steps, end = plan(*args)
+        value = exact_dp(reachable_problem(*args)).value(1, 0)
+        assert [s for s, _ in steps[1:]] + [end] == [nxt[step] for step in steps]
+        assert sum(rew[(t, s, x)] for t, (s, x) in enumerate(steps, 1)) == value == best(1, 0)
 
 
 def path_view(n):

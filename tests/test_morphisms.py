@@ -1,5 +1,6 @@
 import itertools
 import operator
+import random
 
 import pytest
 
@@ -303,6 +304,44 @@ class TestMemoRecurse:
         assert value == 55
         assert hits > 0
         assert memo[10] == 55
+
+
+    def test_deep_chain_without_recursion_limit(self):
+        value, memo, hits = memo_recurse(
+            10_000,
+            lambda n: [n - 1] if n > 0 else [],
+            lambda n, vals: vals[0] + 1 if vals else 0,
+        )
+        assert value == 10_000
+        assert len(memo) == 10_001
+        assert hits == 0
+
+    def test_matches_recursive_reference_on_random_dags(self):
+        for seed in range(30):
+            rng = random.Random(seed)
+            n = rng.randint(1, 25)
+            kids = {i: [rng.randrange(i + 1, n + 1) for _ in range(rng.randint(0, 3))]
+                    if i < n else [] for i in range(n + 1)}
+            compute = lambda i, vals: i + 2 * sum(vals)
+            memo, hits = {}, 0
+
+            def visit(i):
+                nonlocal hits
+                if i in memo:
+                    hits += 1
+                    return memo[i]
+                memo[i] = v = compute(i, [visit(c) for c in kids[i]])
+                return v
+
+            value = visit(0)
+            got = memo_recurse(0, kids.__getitem__, compute)
+            assert got[0] == value
+            assert list(got[1].items()) == list(memo.items())  # same post-order
+            assert got[2] == hits
+
+    def test_cycle_rejected(self):
+        with pytest.raises(ValueError, match="cycle"):
+            memo_recurse(0, lambda n: [(n + 1) % 3], lambda n, vals: 0)
 
 
 class TestOrderAtoms:
