@@ -190,12 +190,12 @@ def _forward_chain_dds(model: KbModel, rules, steps: int) -> ChainResult:
             return state
         return tuple(sorted(set(state) | {(conclusion, tv)}))
 
-    steps_taken, end = plan((), steps, actions, successor, lambda t, s, x: x[4],
-                            action_key=lambda x: repr((x[1], x[2])))
+    taken, end = plan((), steps, actions, successor, lambda t, s, x: x[4],
+                      action_key=lambda x: repr((x[1], x[2])))
     trace = []
     added = {}
     stalled = False
-    for _, (premises, rname, conclusion, tv, reward) in steps_taken:
+    for premises, rname, conclusion, tv, reward in taken:
         if conclusion is None:
             # a pass leaves the state, and so its lone pass action, unchanged
             stalled = True

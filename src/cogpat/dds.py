@@ -346,19 +346,18 @@ def reachable_problem(start, horizon: int, actions, successor, reward,
     )
 
 
-def plan(start, horizon: int, actions, successor, reward,
-         state_key=lambda s: s, action_key=lambda a: a):
+def plan(start, horizon: int, actions, successor, reward, action_key=lambda a: a):
     """Solve `reachable_problem(...)` with exact_dp and replay the first
-    argmax action from `start`.  Returns the (state, action) steps and the
-    state they end in."""
-    p = reachable_problem(start, horizon, actions, successor, reward, state_key, action_key)
+    argmax action from `start`.  Returns the actions taken and the state
+    they end in."""
+    p = reachable_problem(start, horizon, actions, successor, reward, action_key=action_key)
     vf = exact_dp(p)
-    steps, s = [], start
+    taken, s = [], start
     for t in range(1, horizon + 1):
-        x = vf.best_action(t, state_key(s))
-        steps.append((s, x))
+        x = vf.best_action(t, p.state_key(s))
+        taken.append(x)
         s = successor(s, x)
-    return steps, s
+    return taken, s
 
 
 # ---------------------------------------------------------------------------

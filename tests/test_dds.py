@@ -319,10 +319,14 @@ class TestReachablePlanner:
                 return 0.0
             return max(rew[(t, s, x)] + best(t + 1, nxt[(s, x)]) for x in acts[s])
 
-        steps, end = plan(*args)
+        taken, end = plan(*args)
         value = exact_dp(reachable_problem(*args)).value(1, 0)
-        assert [s for s, _ in steps[1:]] + [end] == [nxt[step] for step in steps]
-        assert sum(rew[(t, s, x)] for t, (s, x) in enumerate(steps, 1)) == value == best(1, 0)
+        path = [0]
+        for x in taken:
+            path.append(nxt[(path[-1], x)])
+        assert path[-1] == end
+        total = sum(rew[(t, s, x)] for t, (s, x) in enumerate(zip(path, taken), 1))
+        assert total == value == best(1, 0)
 
 
 def path_view(n):
