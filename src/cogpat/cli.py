@@ -35,6 +35,7 @@ from .fixtures import (
     FixtureError,
     load_cofo,
     load_dds,
+    load_kb,
     load_metagraph,
     load_points,
     load_rules,
@@ -227,7 +228,7 @@ def cmd_relalg_verify_dp(args) -> int:
 
 
 def cmd_cog_chain(args) -> int:
-    kb = load_metagraph(args.fixture)
+    kb = load_kb(args.fixture)
     rules = load_rules(args.rules) if args.rules else [deduction_rule()]
     steps = args.budget if args.budget is not None else 3
     executor = "dds" if args.executor == "dp" else "greedy"
@@ -245,7 +246,7 @@ def cmd_cog_chain(args) -> int:
 
 
 def cmd_cog_backchain(args) -> int:
-    kb = load_metagraph(args.fixture)
+    kb = load_kb(args.fixture)
     src, _, dst = args.target.partition(",")
     if not src or not dst:
         raise FixtureError(f"--target must look like SRC,DST, got {args.target!r}")

@@ -5,6 +5,12 @@ variables, normalized as a frozenset so combining patterns is associative
 and commutative by construction.  Frequencies are exact: conjunctions count
 satisfying edge tuples against all edge tuples, disjunctions count single
 edges.
+
+A conjunction is counted without enumerating the E^k edge tuples: the
+clauses bind variables one after another over an index of the edges by
+(type, source), in the manner of Generic Join, and the count from each
+partial binding is memoized on the variables later clauses still use, so
+the work follows the distinct partial bindings, not the tuples.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import random
 from dataclasses import dataclass
 
 from ..metagraph import TypedMetagraph, as_view
+from ..morphisms import memo_recurse
 
 Clause = tuple  # (edge_type, (var, var))
 
@@ -60,22 +67,44 @@ def clause_frequency(view, clause: Clause) -> float:
 
 
 def _count_conj(edges, clauses) -> int:
-    count = 0
-    for combo in itertools.product(edges, repeat=len(clauses)):
-        binding: dict = {}
-        ok = True
-        for (etype, (v1, v2)), e in zip(clauses, combo):
-            if e.type_label != etype:
-                ok = False
-                break
-            for var, node in ((v1, e.targets[0]), (v2, e.targets[1])):
-                if binding.setdefault(var, node) != node:
-                    ok = False
-                    break
-            if not ok:
-                break
-        count += ok
-    return count
+    """Number of edge tuples, one edge per clause, under which every
+    variable takes one value.
+
+    A join over the clauses in order, memoized by `memo_recurse`: a state
+    is (i, the values of the variables clauses i.. still use), None for
+    one not bound yet, and its children are the edges that extend the
+    binding through clause i.  States that agree on the live variables
+    share one count, and a repeated edge is a repeated child, so
+    multiplicities survive.
+    """
+    index: dict = {}  # (type, None) and (type, source) -> [(source, target)]
+    for e in edges:
+        a, b = e.targets
+        index.setdefault((e.type_label, None), []).append((a, b))
+        index.setdefault((e.type_label, a), []).append((a, b))
+    k = len(clauses)
+    live = [tuple(sorted({v for _, vs in clauses[i:] for v in vs})) for i in range(k + 1)]
+
+    def children_of(state):
+        i, vals = state
+        if i == k:
+            return []
+        etype, (x, y) = clauses[i]
+        env = dict(zip(live[i], vals))
+        bound_y = env[y]
+        out = []
+        for a, b in index.get((etype, env[x]), ()):
+            want = a if x == y else bound_y
+            if want is None or want == b:
+                env[x], env[y] = a, b
+                out.append((i + 1, tuple(env[v] for v in live[i + 1])))
+        return out
+
+    def compute(state, child_counts):
+        return 1 if state[0] == k else sum(child_counts)
+
+    root = (0, (None,) * len(live[0]))
+    return memo_recurse(root, children_of, compute)[0]
 
 
 def pattern_frequency(view, pattern: Pattern) -> float:

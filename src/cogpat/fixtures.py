@@ -56,6 +56,19 @@ def load_metagraph(path) -> TypedMetagraph:
         raise FixtureError(f"{path}: malformed metagraph ({exc})") from exc
 
 
+def load_kb(path) -> TypedMetagraph:
+    """An implication kb for chaining: each node is a concept whose truth
+    value is its prior, and each binary `implies` edge a statement with its
+    truth value, so each of them must carry one."""
+    kb = load_metagraph(path)
+    for _, a in sorted(kb.atoms.items()):
+        if a.tv is None and (a.is_node or (a.type_label == "implies" and len(a.targets) == 2)):
+            raise FixtureError(
+                f"{path}: {a.kind} {a.id} ({a.type_label!r}) has no truth value"
+            )
+    return kb
+
+
 def load_dds(path) -> DdsProblem:
     data = load_json(path)
     for field in ("stages", "states", "actions"):

@@ -174,22 +174,29 @@ class _MgBase:
     def edges(self) -> list[Atom]:
         return [a for _, a in sorted(self.atoms.items()) if not a.is_node]
 
+    # (version it was built at, target id -> ascending ids of the edges
+    # that target it, one entry per edge)
+    _incidence_cache: tuple = (None, {})
+
+    def _incidence(self) -> dict[int, list[int]]:
+        version, index = self._incidence_cache
+        if version != self.version:
+            index = {}
+            for i, a in sorted(self.atoms.items()):
+                for t in dict.fromkeys(a.targets):
+                    index.setdefault(t, []).append(i)
+            self._incidence_cache = (self.version, index)
+        return index
+
     def incoming(self, atom_id: int) -> list[int]:
-        return [a.id for a in self.edges() if atom_id in a.targets]
+        return list(self._incidence().get(atom_id, ()))
 
     def neighbors(self, atom_id: int) -> list[int]:
         """Atoms sharing an edge with `atom_id` (plus edge/target links)."""
-        out: set[int] = set()
-        a = self.atoms[atom_id]
-        for t in a.targets:
-            if t >= 0:
-                out.add(t)
-        for e in self.edges():
-            if atom_id in e.targets:
-                out.add(e.id)
-                for t in e.targets:
-                    if t >= 0 and t != atom_id:
-                        out.add(t)
+        out = {t for t in self.atoms[atom_id].targets if t >= 0}
+        for e in self._incidence().get(atom_id, ()):
+            out.add(e)
+            out.update(t for t in self.atoms[e].targets if t >= 0)
         out.discard(atom_id)
         return sorted(out)
 
@@ -327,6 +334,11 @@ class MgView(_MgBase):
         self.dangling = dangling
         self._origin = origin
         self.stamp = stamp
+
+    @property
+    def version(self) -> int:
+        """The store version whose atoms this view holds (its stamp)."""
+        return self.stamp
 
     def snapshot(self) -> "MgView":
         return self
@@ -485,6 +497,7 @@ def _atom_sig(a: Atom) -> tuple:
 def _refine_classes(mg: _MgBase) -> dict[int, int]:
     """Iterated neighborhood refinement; returns id -> class index."""
     ids = sorted(mg.atoms)
+    incidence = mg._incidence()
     color = {i: _atom_sig(mg.atoms[i]) for i in ids}
     for _ in range(len(ids) + 1):
         nxt = {}
@@ -493,9 +506,8 @@ def _refine_classes(mg: _MgBase) -> dict[int, int]:
             tgt_colors = tuple(color[t] if t >= 0 else ("slot", ref_slot(t)) for t in a.targets)
             in_colors = tuple(
                 sorted(
-                    (color[e.id], e.targets.index(i))
-                    for e in mg.edges()
-                    if i in e.targets
+                    (color[e], mg.atoms[e].targets.index(i))
+                    for e in incidence.get(i, ())
                 )
             )
             nxt[i] = (color[i], tgt_colors, in_colors)

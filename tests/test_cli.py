@@ -98,6 +98,24 @@ class TestExitCodes:
         assert run("cog", "chain", "--fixture", tmp_path / "nope.json",
                    "--out", tmp_path) == 2
 
+    @pytest.mark.parametrize("command", [["chain"], ["backchain", "--target", "P0,P1"]])
+    def test_kb_node_without_truth_value(self, tmp_path, command, capsys):
+        # kb_social.json is a mining kb: its nodes carry no prior
+        assert run("cog", *command, "--fixture", FIXTURES / "kb_social.json",
+                   "--out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "kb_social.json: node 0 ('P0') has no truth value" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", [["chain"], ["backchain", "--target", "A,B"]])
+    def test_kb_statement_without_truth_value(self, tmp_path, command, capsys):
+        data = json.loads((FIXTURES / "kb_two_hop.json").read_text())
+        del next(a for a in data["atoms"] if a["type"] == "implies")["tv"]
+        bad = tmp_path / "kb.json"
+        bad.write_text(json.dumps(data))
+        assert run("cog", *command, "--fixture", bad, "--out", tmp_path / "out") == 2
+        assert "kb.json: edge 3 ('implies') has no truth value" in capsys.readouterr().err
+
     def test_failed_audit_is_exit_one(self, tmp_path):
         assert run("subpattern", "audit", "--fixture",
                    FIXTURES / "subpattern_maxmin.json", "--out", tmp_path) == 1

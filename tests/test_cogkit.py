@@ -340,10 +340,12 @@ def brute_force_frequency(view, pattern):
             if e.type_label != etype:
                 good = False
                 break
-            if env.get(v1, e.targets[0]) != e.targets[0] or env.get(v2, e.targets[1]) != e.targets[1]:
+            # bind v1 before checking v2, so (t, (X, X)) needs a self-loop
+            if env.setdefault(v1, e.targets[0]) != e.targets[0] or (
+                env.setdefault(v2, e.targets[1]) != e.targets[1]
+            ):
                 good = False
                 break
-            env[v1], env[v2] = e.targets
         hits += good
     return hits / len(edges) ** len(clauses)
 
@@ -388,6 +390,51 @@ class TestPatternMining:
             assert pattern_frequency(view, p) == pytest.approx(
                 brute_force_frequency(view, p)
             )
+
+    def test_repeated_variable_needs_a_self_loop(self):
+        view = likes_kb()  # no self-loops
+        p = conj(("likes", ("X", "X")))
+        assert pattern_frequency(view, p) == brute_force_frequency(view, p) == 0.0
+        mg = TypedMetagraph()
+        a, b = mg.add_node("N"), mg.add_node("N")
+        mg.add_edge("likes", [a, a])
+        mg.add_edge("likes", [a, b])
+        assert pattern_frequency(mg.snapshot(), p) == 0.5
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_nodes=st.integers(1, 6),
+        # type "c" never occurs in the kb
+        edges=st.lists(
+            st.tuples(st.sampled_from("ab"), st.integers(0, 5), st.integers(0, 5)),
+            min_size=1, max_size=12,
+        ),
+        clauses=st.lists(
+            st.tuples(st.sampled_from("abc"), st.tuples(st.sampled_from("WXYZ"),
+                                                        st.sampled_from("WXYZ"))),
+            min_size=1, max_size=4,
+        ),
+    )
+    def test_join_matches_brute_force(self, n_nodes, edges, clauses):
+        # covers repeated variables, clauses that share no variable, and
+        # clauses whose first variable is unbound when the second is bound
+        mg = TypedMetagraph()
+        ns = [mg.add_node("N") for _ in range(n_nodes)]
+        for etype, a, b in edges:
+            mg.add_edge(etype, [ns[a % n_nodes], ns[b % n_nodes]])
+        view = mg.snapshot()
+        p = conj(*clauses)
+        assert pattern_frequency(view, p) == brute_force_frequency(view, p)
+
+    def test_parallel_edges_closed_form(self):
+        # 1000 parallel edges 0->1: every one of the 1000^3 edge triples
+        # matches, far beyond enumerating them
+        mg = TypedMetagraph()
+        a, b = mg.add_node("N"), mg.add_node("N")
+        for _ in range(1000):
+            mg.add_edge("t", [a, b])
+        p = conj(("t", ("X", "Y")), ("t", ("Z", "Y")), ("t", ("W", "Y")))
+        assert pattern_frequency(mg.snapshot(), p) == 1.0
 
     def test_combination_associative_via_canonical_form(self):
         p = conj(("likes", ("X", "Y")))

@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cogpat.metagraph import (
     EDGE,
@@ -215,6 +216,31 @@ class TestCanonicalForm:
         with pytest.raises(CanonicalizationError):
             canonical_form(mg)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        nodes=st.lists(st.sampled_from("AB"), min_size=1, max_size=6),
+        edges=st.lists(
+            st.tuples(st.sampled_from("EF"), st.lists(st.integers(0, 20), min_size=1, max_size=3)),
+            max_size=5,
+        ),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_node_relabeling_invariance(self, nodes, edges, order):
+        # an edge target < n is a node, the rest pick an earlier edge (or a node)
+        def build(node_ids):
+            mg = TypedMetagraph()
+            at = {}
+            for i in sorted(range(len(nodes)), key=node_ids.__getitem__):
+                at[i] = mg.add_node(nodes[i])
+            for j, (label, targets) in enumerate(edges):
+                refs = [t % (len(nodes) + j) for t in targets]
+                at[len(nodes) + j] = mg.add_edge(label, [at[r] for r in refs])
+            return mg
+
+        shuffled = list(range(len(nodes)))
+        order.shuffle(shuffled)
+        assert canonical_form(build(shuffled)) == canonical_form(build(range(len(nodes))))
+
 
 class TestSampleAtoms:
     def test_unit_support(self):
@@ -269,6 +295,74 @@ class TestSnapshot:
         mg.add_node("B")
         assert view.is_stale()
         assert view.stamp < mg.version
+
+
+def scan_incoming(mg, atom_id):
+    return [e.id for e in mg.edges() if atom_id in e.targets]
+
+
+def scan_neighbors(mg, atom_id):
+    out = {t for t in mg.atom(atom_id).targets if t >= 0}
+    for e in mg.edges():
+        if atom_id in e.targets:
+            out.add(e.id)
+            out.update(t for t in e.targets if t >= 0)
+    out.discard(atom_id)
+    return sorted(out)
+
+
+def answers(mg):
+    return {i: (mg.incoming(i), mg.neighbors(i)) for i in mg.atom_ids()}
+
+
+def scanned(mg):
+    return {i: (scan_incoming(mg, i), scan_neighbors(mg, i)) for i in mg.atom_ids()}
+
+
+class TestIncidence:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_nodes=st.integers(1, 6),
+        edges=st.lists(st.lists(st.integers(0, 30), min_size=1, max_size=3), max_size=10),
+        mutation=st.one_of(
+            st.tuples(st.just("edge"), st.lists(st.integers(0, 30), min_size=1, max_size=3)),
+            st.tuples(st.just("tv"), st.integers(0, 30)),
+        ),
+    )
+    def test_matches_full_scan_on_store_and_snapshot(self, n_nodes, edges, mutation):
+        mg = TypedMetagraph()
+        for _ in range(n_nodes):
+            mg.add_node("N")
+        for targets in edges:
+            mg.add_edge("E", [t % len(mg) for t in targets])
+        view = mg.snapshot()
+        before = scanned(mg)
+        assert answers(mg) == before
+        assert answers(view) == before
+
+        for i in mg.atom_ids():  # a caller's edit of a returned list stays local
+            mg.incoming(i).append(-1)
+            view.neighbors(i).append(-1)
+        assert answers(mg) == answers(view) == before
+
+        kind, arg = mutation
+        if kind == "edge":
+            new = mg.add_edge("E", [t % len(mg) for t in arg])
+            assert all(new in mg.incoming(t) for t in mg.atom(new).targets)
+        else:
+            mg.set_tv(arg % len(mg), TruthValue(0.5, 0.5))
+        assert answers(mg) == scanned(mg)
+        assert answers(view) == before
+
+    def test_slot_references_are_indexed(self):
+        mg = TypedMetagraph()
+        slot = mg.declare_dangling("A")
+        a = mg.add_node("A")
+        e = mg.add_edge("E", [a, slot_ref(slot), a])
+        assert mg.incoming(a) == [e]
+        assert mg.incoming(slot_ref(slot)) == [e]
+        assert mg.neighbors(a) == [e]
+        assert mg.neighbors(e) == [a]
 
 
 class TestFuzzIntegrity:
