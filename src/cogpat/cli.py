@@ -227,11 +227,17 @@ def cmd_relalg_verify_dp(args) -> int:
 # cog
 
 
+def _greedy_or_dp(args) -> bool:
+    if args.executor not in ("greedy", "dp"):
+        raise FixtureError(f"cog {args.cmd} runs --executor greedy or dp, not {args.executor!r}")
+    return args.executor == "dp"
+
+
 def cmd_cog_chain(args) -> int:
+    executor = "dds" if _greedy_or_dp(args) else "greedy"
     kb = load_kb(args.fixture)
     rules = load_rules(args.rules) if args.rules else [deduction_rule()]
     steps = args.budget if args.budget is not None else 3
-    executor = "dds" if args.executor == "dp" else "greedy"
     res = forward_chain(kb, rules, steps, executor=executor, seed=_resolve_seed(args))
     _write_json(args, "chain.json", {
         "statements": {f"{a}->{b}": _tv_dict(tv) for (a, b), tv in sorted(res.statements.items())},
@@ -267,8 +273,8 @@ def cmd_cog_backchain(args) -> int:
 
 
 def cmd_cog_cluster(args) -> int:
+    executor = "exact_dp" if _greedy_or_dp(args) else "greedy"
     points, k = load_points(args.fixture)
-    executor = "exact_dp" if args.executor == "dp" else "greedy"
     dist = lambda x, y: (
         (points[x][0] - points[y][0]) ** 2 + (points[x][1] - points[y][1]) ** 2
     ) ** 0.5

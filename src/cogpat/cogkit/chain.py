@@ -16,6 +16,7 @@ from typing import Callable, Optional
 
 from ..dds import plan
 from ..metagraph import IGNORANCE, TruthValue, TypedMetagraph, as_view
+from ..morphisms import memo_recurse
 from .pln import SingularityError, cwig, deduction, inversion
 
 
@@ -31,6 +32,19 @@ def implication_kb(nodes: dict, edges: list) -> TypedMetagraph:
     return mg
 
 
+def _is_statement(atom) -> bool:
+    return atom.type_label == "implies" and len(atom.targets) == 2
+
+
+def check_truth_values(view) -> None:
+    """A kb's concept nodes carry their priors and its statements (binary
+    `implies` edges) their truth values; raise ValueError naming the
+    lowest-id atom that lacks one."""
+    for _, a in sorted(view.atoms.items()):
+        if a.tv is None and (a.is_node or _is_statement(a)):
+            raise ValueError(f"{a.kind} {a.id} ({a.type_label!r}) has no truth value")
+
+
 @dataclass
 class KbModel:
     """Statement-level view of a kb snapshot."""
@@ -41,6 +55,7 @@ class KbModel:
     @classmethod
     def from_view(cls, view) -> "KbModel":
         view = as_view(view)
+        check_truth_values(view)
         priors = {}
         names = {}
         for node in view.nodes():
@@ -48,7 +63,7 @@ class KbModel:
             names[node.id] = node.type_label
         stmts = {}
         for edge in view.edges():
-            if edge.type_label == "implies" and len(edge.targets) == 2:
+            if _is_statement(edge):
                 a, b = edge.targets
                 stmts[(names[a], names[b])] = edge.tv
         return cls(priors, stmts)
@@ -230,21 +245,15 @@ class Bid:
         return nid
 
     def check(self) -> None:
-        seen: set = set()
-
-        def visit(nid, stack):
-            if nid in stack:
-                raise ValueError("bid has a cycle")
+        def children_of(nid):
             node = self.nodes[nid]
             if node.children and node.rule is None:
                 raise ValueError("internal bid node lacks a rule")
             if len(node.children) > 2:
                 raise ValueError("bid nodes are at most binary")
-            seen.add(nid)
-            for c in node.children:
-                visit(c, stack | {nid})
+            return node.children
 
-        visit(self.root, frozenset())
+        memo_recurse(self.root, children_of, lambda nid, vals: None)
 
     @property
     def expansions(self) -> int:
@@ -264,12 +273,6 @@ def backward_chain_tv(kb, target: tuple, budget: int, seed: int = 0):
         return tv, bid
     bid.root = bid.add(target, None, IGNORANCE, leaf_kind="open")
 
-    def open_leaves():
-        return [
-            n for n in bid.nodes.values()
-            if n.leaf_kind == "open" and not n.children
-        ]
-
     def expansions_for(stmt):
         src, dst = stmt
         out = []
@@ -287,19 +290,9 @@ def backward_chain_tv(kb, target: tuple, budget: int, seed: int = 0):
             out.append((b, ab, bc, tv))
         return out
 
-    def recompute(nid) -> TruthValue:
-        node = bid.nodes[nid]
-        if not node.children:
-            return node.tv
-        child_tvs = [recompute(c) for c in node.children]
-        src, dst = node.statement
-        mid = bid.nodes[node.children[0]].statement[1]
-        tv = deduction(child_tvs[0], child_tvs[1], model.priors[mid], model.priors[dst])
-        node.tv = tv
-        return tv
-
     for _ in range(budget):
-        leaves = [l for l in open_leaves() if expansions_for(l.statement)]
+        leaves = [n for n in bid.nodes.values()
+                  if n.leaf_kind == "open" and not n.children and expansions_for(n.statement)]
         if not leaves:
             break
         weights = [max(leaf.tv.c, 0.01) for leaf in leaves]
@@ -314,6 +307,11 @@ def backward_chain_tv(kb, target: tuple, budget: int, seed: int = 0):
         leaf.children = (left, right)
         leaf.rule = "deduction"
         leaf.leaf_kind = None
-        recompute(bid.root)
+        # children are added after their parent: descending ids are post-order
+        for node in reversed(bid.nodes.values()):
+            if node.children:
+                first, second = (bid.nodes[c] for c in node.children)
+                node.tv = deduction(first.tv, second.tv, model.priors[first.statement[1]],
+                                    model.priors[node.statement[1]])
     bid.check()
     return bid.nodes[bid.root].tv, bid

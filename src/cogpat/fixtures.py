@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 
 from .cofo import CofoProblem, Hypothesis
-from .cogkit.chain import Rule, deduction_rule, inversion_rule
+from .cogkit.chain import Rule, check_truth_values, deduction_rule, inversion_rule
 from .dds import DdsProblem
 from .metagraph import TypedMetagraph
 from .subpattern import SimplicityMeasure, disjoint_union
@@ -57,15 +57,12 @@ def load_metagraph(path) -> TypedMetagraph:
 
 
 def load_kb(path) -> TypedMetagraph:
-    """An implication kb for chaining: each node is a concept whose truth
-    value is its prior, and each binary `implies` edge a statement with its
-    truth value, so each of them must carry one."""
+    """An implication kb for chaining; see `check_truth_values`."""
     kb = load_metagraph(path)
-    for _, a in sorted(kb.atoms.items()):
-        if a.tv is None and (a.is_node or (a.type_label == "implies" and len(a.targets) == 2)):
-            raise FixtureError(
-                f"{path}: {a.kind} {a.id} ({a.type_label!r}) has no truth value"
-            )
+    try:
+        check_truth_values(kb)
+    except ValueError as exc:
+        raise FixtureError(f"{path}: {exc}") from exc
     return kb
 
 

@@ -13,7 +13,7 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Mapping, Optional
 
 

@@ -85,7 +85,6 @@ def order_atoms(view: MgView, order) -> list[int]:
         return ids
     if isinstance(order, tuple) and order[0] == "random":
         rng = random.Random(order[1])
-        ids = list(ids)
         rng.shuffle(ids)
         return ids
     raise ValueError(f"unknown traversal order: {order!r}")
@@ -99,7 +98,6 @@ class MorphRun:
     def __init__(self, kind: str, view: Optional[MgView] = None):
         self.kind = kind
         self.view = view
-        self.stamp = view.stamp if view is not None else None
         self.status = "paused"
         self.frames_done = 0
         self.memo: dict = {}
@@ -159,66 +157,56 @@ def complete(run: MorphRun) -> Any:
 # Fold / histo
 
 
-def fold_run(view, algebra: Algebra, order="insertion") -> MorphRun:
+def _structure_keys(view: MgView, run: MorphRun) -> dict:
+    """Every atom's structural key, in one pass over ascending ids (a target
+    id is below its edge's); each target reference reuses a key: a hit."""
+    keys: dict[int, tuple] = {}
+    for i in sorted(view.atoms):
+        a = view.atoms[i]
+        child_keys = []
+        for t in a.targets:
+            if t >= 0:
+                child_keys.append(keys[t])
+                run.memo_hits += 1
+            else:
+                child_keys.append(("slot", ref_slot(t)))
+        keys[i] = (a.kind, a.type_label, a.tv, tuple(child_keys))
+    return keys
+
+
+def _frame_run(kind: str, view, algebra: Algebra, order, keyed: bool) -> MorphRun:
+    """One frame per atom in `order`; histo frames see structural keys."""
     view = as_view(view)
     view.check_fresh()
-    run = MorphRun("fold", view)
+    run = MorphRun(kind, view)
 
     def gen():
+        keys = _structure_keys(view, run) if keyed else None
         acc = algebra.unit
         for i in order_atoms(view, order):
-            acc = algebra.combine(acc, Ctx(view.atoms[i], view, None))
+            acc = algebra.combine(acc, Ctx(view.atoms[i], view, keys[i] if keyed else None))
             yield
         return acc
 
     return run._bind(gen())
+
+
+def fold_run(view, algebra: Algebra, order="insertion") -> MorphRun:
+    return _frame_run("fold", view, algebra, order, keyed=False)
 
 
 def fold(view, algebra: Algebra, order="insertion") -> Any:
     return complete(fold_run(view, algebra, order))
 
 
-def _default_key(atom: Atom, child_keys: tuple) -> tuple:
-    return (atom.kind, atom.type_label, atom.tv, child_keys)
+def histo_fold_run(view, algebra: Algebra, order="insertion") -> MorphRun:
+    return _frame_run("histo", view, algebra, order, keyed=True)
 
 
-def _structure_key(view, aid, cache, run, key_fn):
-    if aid in cache:
-        run.memo_hits += 1
-        return cache[aid]
-    a = view.atoms[aid]
-    child_keys = tuple(
-        _structure_key(view, t, cache, run, key_fn) if t >= 0 else ("slot", ref_slot(t))
-        for t in a.targets
-    )
-    k = key_fn(a, child_keys)
-    cache[aid] = k
-    run.memo.setdefault(k, []).append(aid)
-    return k
-
-
-def histo_fold_run(view, algebra: Algebra, order="insertion", key_fn=_default_key) -> MorphRun:
-    view = as_view(view)
-    view.check_fresh()
-    run = MorphRun("histo", view)
-    cache: dict[int, Any] = {}
-
-    def gen():
-        acc = algebra.unit
-        for i in order_atoms(view, order):
-            key = _structure_key(view, i, cache, run, key_fn)
-            acc = algebra.combine(acc, Ctx(view.atoms[i], view, key))
-            yield
-        return acc
-
-    return run._bind(gen())
-
-
-def histo_fold(view, algebra: Algebra, order="insertion", key_fn=_default_key):
+def histo_fold(view, algebra: Algebra, order="insertion"):
     """Fold with structural memoization; returns (value, memo hit count)."""
-    run = histo_fold_run(view, algebra, order, key_fn)
-    value = complete(run)
-    return value, run.memo_hits
+    run = histo_fold_run(view, algebra, order)
+    return complete(run), run.memo_hits
 
 
 # ---------------------------------------------------------------------------
@@ -314,39 +302,39 @@ def chrono_run(seed, coalg: Coalgebra, algebra: Algebra, budget: int) -> MorphRu
         raise ValueError("budget must be >= 0")
     run = MorphRun("chrono")
     merge = algebra.merge
+    budget_left = budget
+    # the folded pieces of each seed on the walk's stack, innermost last
+    own: list = []
+
+    def children_of(s):
+        nonlocal budget_left
+        v = algebra.unit
+        if budget_left == 0:
+            run.truncated = True
+            own.append(v)
+            return []
+        exp = coalg.expand(s)
+        pieces = exp.pieces[:budget_left]
+        run.truncated |= len(pieces) < len(exp.pieces)
+        budget_left -= len(pieces)
+        for piece in pieces:
+            for i in sorted(piece.atoms):
+                v = algebra.combine(v, Ctx(piece.atoms[i], None, None))
+        own.append(v)
+        return [child_seed for child_seed, _port in exp.children]
+
+    def compute(s, child_values):
+        v = own.pop()
+        for cv in child_values:
+            v = merge(v, cv)
+        return v
 
     def gen():
-        budget_left = budget
-
-        def visit(s):
-            nonlocal budget_left
-            key = coalg.seed_key(s)
-            if key in run.memo:
-                run.memo_hits += 1
-                return run.memo[key]
-            if budget_left <= 0:
-                run.truncated = True
-                return algebra.unit
-            exp = coalg.expand(s)
-            take = min(len(exp.pieces), budget_left)
-            if take < len(exp.pieces):
-                run.truncated = True
-            v = algebra.unit
-            for piece in exp.pieces[:take]:
-                budget_left -= 1
-                for i in sorted(piece.atoms):
-                    v = algebra.combine(v, Ctx(piece.atoms[i], None, None))
-            yield
-            for child_seed, _port in exp.children:
-                cv = yield from visit(child_seed)
-                v = merge(v, cv)
-            run.memo[key] = v
-            return v
-
         if budget == 0:
             return algebra.unit
-        result = yield from visit(seed)
-        return result
+        value, run.memo, run.memo_hits = yield from _memo_walk(
+            seed, children_of, compute, coalg.seed_key)
+        return value
 
     return run._bind(gen())
 
@@ -354,33 +342,31 @@ def chrono_run(seed, coalg: Coalgebra, algebra: Algebra, budget: int) -> MorphRu
 def chrono(seed, coalg: Coalgebra, algebra: Algebra, budget: int):
     """Fused unfold-then-fold; returns (value, memo hit count)."""
     run = chrono_run(seed, coalg, algebra, budget)
-    value = complete(run)
-    return value, run.memo_hits
+    return complete(run), run.memo_hits
 
 
 # ---------------------------------------------------------------------------
 # Seed-level memoized collapse (the histo half over an unfolded problem dag)
 
 
-def memo_recurse(
-    root,
-    children_of: Callable[[Any], list],
-    compute: Callable[[Any, list], Any],
-    key: Callable[[Any], Any] = lambda s: s,
-):
-    """Post-order evaluation over the dag spanned by `children_of`, with
-    memoization on `key`.  Returns (value at root, memo table, hit count).
+def _memo_walk(root, children_of: Callable[[Any], list],
+              compute: Callable[[Any, list], Any], key: Callable[[Any], Any]):
+    """Post-order evaluation over the dag spanned by `children_of`, memoized
+    on `key`, as a generator: it yields once after each `children_of` call
+    and returns (value at root, memo table, hit count).
 
     Runs on an explicit stack, so depth is bounded by memory, not by the
-    interpreter's recursion limit.  A child is looked up in the memo when
-    its turn comes, as a recursive visit would.
-    """
+    interpreter's recursion limit.  `children_of(s)` is called when s is
+    entered and `compute(s, child values)` when it is left, so the calls
+    nest; a child is looked up in the memo when its turn comes, as a
+    recursive visit would.  A cycle raises ValueError."""
     memo: dict = {}
     hits = 0
     root_key = key(root)
     open_keys = {root_key}  # keys of the frames on the stack
     # frame: (seed, its key, iterator over its children, child values so far)
     stack = [(root, root_key, iter(children_of(root)), [])]
+    yield
     while stack:
         seed, seed_key, children, vals = stack[-1]
         for c in children:
@@ -393,6 +379,7 @@ def memo_recurse(
                 raise ValueError(f"children_of has a cycle through {c!r}")
             open_keys.add(k)
             stack.append((c, k, iter(children_of(c)), []))
+            yield
             break
         else:
             stack.pop()
@@ -403,23 +390,34 @@ def memo_recurse(
     return memo[root_key], memo, hits
 
 
+def memo_recurse(root, children_of: Callable[[Any], list],
+                 compute: Callable[[Any, list], Any], key: Callable[[Any], Any] = lambda s: s):
+    """`_memo_walk` run to completion: (value at root, memo table, hit count)."""
+    walk = _memo_walk(root, children_of, compute, key)
+    while True:
+        try:
+            next(walk)
+        except StopIteration as done:
+            return done.value
+
+
 # ---------------------------------------------------------------------------
 # Associativity audit
 
 
 @dataclass
-class AuditReport:
+class AssociativityReport:
     passed: bool
     trials: int
     counterexample: Optional[tuple] = None
 
 
-def audit_associativity(algebra: Algebra, ctxs: list, trials: int = 1000, seed: int = 0) -> AuditReport:
+def audit_associativity(algebra: Algebra, ctxs: list, trials: int = 1000, seed: int = 0) -> AssociativityReport:
     """Check the grouping identities order-invariant folding needs: for
     sampled prefix values v and frame pairs (a, b),
     combine(combine(v,a),b) == combine(combine(v,b),a)."""
     if len(ctxs) < 2:
-        return AuditReport(True, 0)
+        return AssociativityReport(True, 0)
     rng = random.Random(seed)
     for t in range(trials):
         prefix = rng.sample(ctxs, rng.randint(0, len(ctxs)))
@@ -430,5 +428,5 @@ def audit_associativity(algebra: Algebra, ctxs: list, trials: int = 1000, seed: 
         lhs = algebra.combine(algebra.combine(v, a), b)
         rhs = algebra.combine(algebra.combine(v, b), a)
         if lhs != rhs:
-            return AuditReport(False, t + 1, (v, a, b))
-    return AuditReport(True, trials)
+            return AssociativityReport(False, t + 1, (v, a, b))
+    return AssociativityReport(True, trials)

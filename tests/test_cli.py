@@ -116,6 +116,15 @@ class TestExitCodes:
         assert run("cog", *command, "--fixture", bad, "--out", tmp_path / "out") == 2
         assert "kb.json: edge 3 ('implies') has no truth value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("executor", ["sdp", "chrono"])
+    @pytest.mark.parametrize("command", [["chain", "--fixture", FIXTURES / "kb_two_hop.json"],
+                                         ["cluster", "--fixture", FIXTURES / "points_two_pairs.json"]])
+    def test_greedy_or_dp_only(self, tmp_path, command, executor, capsys):
+        assert run("cog", *command, "--executor", executor, "--out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert f"cog {command[0]} runs --executor greedy or dp, not {executor!r}" in err
+        assert not list(tmp_path.iterdir())
+
     def test_failed_audit_is_exit_one(self, tmp_path):
         assert run("subpattern", "audit", "--fixture",
                    FIXTURES / "subpattern_maxmin.json", "--out", tmp_path) == 1

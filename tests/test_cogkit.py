@@ -34,7 +34,7 @@ from cogpat.cogkit import (
     rule_roundtrip_audit,
     uniform_crossover,
 )
-from cogpat.cogkit.chain import KbModel
+from cogpat.cogkit.chain import Bid, KbModel
 from cogpat.cogkit.pln import _digamma
 from cogpat.metagraph import canonical_form
 
@@ -198,6 +198,24 @@ class TestForwardChain:
         with pytest.raises(ValueError):
             forward_chain(mg, [deduction_rule()], steps=1)
 
+    @pytest.mark.parametrize("chain", [
+        lambda kb: forward_chain(kb, [deduction_rule()], steps=1),
+        lambda kb: backward_chain_tv(kb, ("A", "C"), budget=3),
+    ])
+    def test_atom_without_truth_value_rejected(self, chain):
+        # node 1 and statement 4 lack a truth value: the lowest id is named
+        mg = TypedMetagraph()
+        a = mg.add_node("A", tv=TruthValue(0.5, 0.9))
+        b = mg.add_node("B")
+        c = mg.add_node("C", tv=TruthValue(0.6, 0.9))
+        mg.add_edge("implies", [a, b], tv=TruthValue(0.8, 0.9))
+        mg.add_edge("implies", [b, c])
+        with pytest.raises(ValueError, match=r"^node 1 \('B'\) has no truth value$"):
+            chain(mg)
+        mg.set_tv(b, TruthValue(0.5, 0.9))
+        with pytest.raises(ValueError, match=r"^edge 4 \('implies'\) has no truth value$"):
+            chain(mg)
+
 
 class TestRuleAudit:
     def test_inversion_is_reversible(self):
@@ -237,6 +255,17 @@ class TestBackwardChain:
     def test_bid_structure_validated(self):
         _, bid = backward_chain_tv(two_hop_kb(), ("A", "C"), budget=3)
         bid.check()
+
+    def test_deep_bid_check_without_recursion_limit(self):
+        bid = Bid()
+        for i in range(3_000):
+            bid.add(("A", "B"), "deduction", TruthValue(0.5, 0.9), children=(i + 1,))
+        bid.add(("A", "B"), None, TruthValue(0.5, 0.9), leaf_kind="dataset")
+        bid.check()
+        bid.nodes[3_000].children = (0,)
+        bid.nodes[3_000].rule = "deduction"
+        with pytest.raises(ValueError, match="cycle"):
+            bid.check()
 
 
 def pair_points():

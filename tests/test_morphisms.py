@@ -13,7 +13,7 @@ from cogpat.metagraph import (
 )
 from cogpat.morphisms import (
     Algebra,
-    AuditReport,
+    AssociativityReport,
     Coalgebra,
     Ctx,
     Expansion,
@@ -117,6 +117,17 @@ class TestHisto:
         assert value == 0.0
         assert hits == 0
 
+    def test_deep_edge_chain_in_random_order(self):
+        mg = TypedMetagraph()
+        top = mg.add_node("N", sti=1.0)
+        for _ in range(3_000):
+            top = mg.add_edge("E", [top], sti=1.0)
+        view = mg.snapshot()
+        for s in range(3):
+            value, hits = histo_fold(view, SUM, ("random", s))
+            assert value == fold(view, SUM, ("random", s)) == 3_001.0
+            assert hits == 3_000
+
 
 def single_node_piece(label="N", sti=0.0):
     m = TypedMetagraph()
@@ -209,6 +220,20 @@ class TestChrono:
     def test_budget_zero(self):
         value, _ = chrono(10, fib_coalg(), SUM, budget=0)
         assert value == SUM.unit
+
+    def test_deep_seed_chain_without_recursion_limit(self):
+        coalg = Coalgebra(lambda k: Expansion([single_node_piece(sti=1.0)],
+                                              [(k - 1, None)] if k > 0 else []))
+        assert chrono(5_000, coalg, SUM, budget=10_000) == (5_001.0, 0)
+        run = chrono_run(5_000, coalg, SUM, budget=10_000)
+        while run_steps(run, 7) != "done":
+            pass
+        assert (run.value, run.frames_done, len(run.memo)) == (5_001.0, 5_001, 5_001)
+
+    def test_cyclic_seeds_rejected(self):
+        coalg = Coalgebra(lambda k: Expansion([single_node_piece()], [((k + 1) % 3, None)]))
+        with pytest.raises(ValueError, match="cycle"):
+            chrono(0, coalg, SUM, budget=100)
 
     def test_fused_equals_pipeline_random_fixtures(self):
         import random as _r
