@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import dds as ddsmod
-from .cofo import make_cofo_dds, quality, two_hypothesis_problem
+from .cofo import CofoError, make_cofo_dds, quality, two_hypothesis_problem
 from .cogkit import (
     agglomerate,
     backward_chain_tv,
@@ -485,7 +485,7 @@ def main(argv=None) -> int:
         if args.handler in _NEEDS_FIXTURE and not args.fixture:
             raise FixtureError("this command requires --fixture")
         return args.handler(args)
-    except FixtureError as exc:
+    except (FixtureError, CofoError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CheckFailure as exc:

@@ -6,6 +6,13 @@ promising sets and their entropies are exactly computable.  The adapter at
 the bottom renders the whole loop as a DdsProblem for the dds solvers: the
 datasets reachable from the start, one stage per added pair
 (`dds.reachable_problem`).
+
+A promising set depends only on which pairs a dataset holds, so the
+adapter memoizes it, its entropy and the dataset's actions by
+`dataset_key`: each distinct dataset is evaluated once per problem, however
+many stages and solver passes reach it.  The top set of a hypothesis does
+not depend on the dataset at all; the problem computes it once, when it is
+built.
 """
 
 from __future__ import annotations
@@ -54,6 +61,9 @@ class CofoProblem:
         if total <= 0:
             raise CofoError("domain weights must have positive mass")
         self.domain = [(x, w / total) for x, w in self.domain]
+        self._weights = dict(self.domain)
+        if len(self._weights) != len(self.domain):
+            raise CofoError("domain repeats a point")
         if not (0.0 < self.rho < 1.0):
             raise CofoError("rho must lie in (0,1)")
         psum = sum(h.prior for h in self.hypotheses)
@@ -62,16 +72,20 @@ class CofoProblem:
         self.hypotheses = [
             Hypothesis(h.name, h.table, h.prior / psum) for h in self.hypotheses
         ]
+        for name, table in [("objective", self.objective)] + [
+                (f"hypothesis {h.name!r}", h.table) for h in self.hypotheses]:
+            missing = [x for x in self._weights if x not in table]
+            if missing:
+                raise CofoError(f"{name} has no value at domain point {missing[0]!r}")
+        # data-independent, so one per hypothesis, in hypothesis order
+        self._top_sets = [top_set(h.table, self.domain, self.rho) for h in self.hypotheses]
 
     @property
     def points(self):
         return [x for x, _ in self.domain]
 
     def weight(self, x) -> float:
-        for p, w in self.domain:
-            if p == x:
-                return w
-        raise KeyError(x)
+        return self._weights[x]
 
     def f(self, x) -> float:
         return self.objective[x]
@@ -133,33 +147,40 @@ class PromisingSet:
         return {x: self.chi[x] / z for x in self.support}
 
 
-def consistent_hypotheses(p: CofoProblem, d: Dataset) -> list[Hypothesis]:
-    alive = list(p.hypotheses)
+def _alive(p: CofoProblem, d: Dataset) -> list[int]:
+    """Indices of the hypotheses that agree with every pair of `d`."""
+    alive = range(len(p.hypotheses))
     for pair in d:
         x, y = pair
-        alive = [h for h in alive if abs(h(x) - y) <= p.tol]
+        alive = [i for i in alive if abs(p.hypotheses[i](x) - y) <= p.tol]
         if not alive:
             raise InconsistencyError(pair)
-    return alive
+    return list(alive)
+
+
+def consistent_hypotheses(p: CofoProblem, d: Dataset) -> list[Hypothesis]:
+    return [p.hypotheses[i] for i in _alive(p, d)]
 
 
 def promising_set(p: CofoProblem, d: Dataset) -> PromisingSet:
-    alive = consistent_hypotheses(p, d)
-    mass = sum(h.prior for h in alive)
+    alive = _alive(p, d)
+    mass = sum(p.hypotheses[i].prior for i in alive)
     chi = {x: 0.0 for x in p.points}
-    for h in alive:
-        top = top_set(h.table, p.domain, p.rho)
-        for x in top:
-            chi[x] += h.prior / mass
+    for i in alive:
+        share = p.hypotheses[i].prior / mass
+        for x in p._top_sets[i]:
+            chi[x] += share
     support = [x for x in p.points if chi[x] > 0.0]
     return PromisingSet(chi, support)
 
 
+def _entropy(ps: PromisingSet) -> float:
+    return -sum(q * math.log2(q) for q in ps.distribution().values() if q > 0.0)
+
+
 def quality(p: CofoProblem, d: Dataset) -> float:
     """Shannon entropy (bits) of the normalized membership distribution."""
-    ps = promising_set(p, d)
-    dist = ps.distribution()
-    return -sum(q * math.log2(q) for q in dist.values() if q > 0.0)
+    return _entropy(promising_set(p, d))
 
 
 @dataclass
@@ -171,9 +192,9 @@ class InfoGain:
 def info_gain(p: CofoProblem, d_before: Dataset, d_after: Dataset) -> InfoGain:
     if not set(d_before) <= set(d_after):
         raise CofoError("d_before must be a subset of d_after")
-    bits = quality(p, d_before) - quality(p, d_after)
-    before = promising_set(p, d_before).distribution()
-    after = promising_set(p, d_after).distribution()
+    ps_before, ps_after = promising_set(p, d_before), promising_set(p, d_after)
+    bits = _entropy(ps_before) - _entropy(ps_after)
+    before, after = ps_before.distribution(), ps_after.distribution()
     kl = 0.0
     for x, qa in after.items():
         qb = before.get(x, 0.0)
@@ -225,9 +246,22 @@ def make_cofo_dds(
     drop of the promising set after appending the evaluated combination."""
     if horizon < 1:
         raise CofoError("horizon must be >= 1")
+    evaluated: dict = {}  # dataset_key -> (promising set, its entropy)
+    action_lists: dict = {}  # dataset_key -> action_set(...)
 
-    def action_set(d: Dataset):
-        ps = promising_set(p, d)
+    def evaluate(key, d: Dataset):
+        if key not in evaluated:
+            ps = promising_set(p, d)
+            evaluated[key] = ps, _entropy(ps)
+        return evaluated[key]
+
+    def actions(t, d: Dataset):
+        key = dataset_key(d)
+        if key not in action_lists:
+            action_lists[key] = action_set(key, evaluate(key, d)[0])
+        return action_lists[key]
+
+    def action_set(key, ps: PromisingSet):
         pool = ps.support if ps.support else p.points
         triples = [
             (x, y, c)
@@ -242,7 +276,7 @@ def make_cofo_dds(
         if kind != "sample":
             raise CofoError(f"unknown sampler spec: {sampler!r}")
         # seed from a stable string, not hash(), so runs reproduce exactly
-        rng = random.Random(repr((seed, dataset_key(d))))
+        rng = random.Random(repr((seed, key)))
         dist = ps.distribution() if ps.support else {x: 1 / len(pool) for x in pool}
         out = []
         for _ in range(m):
@@ -259,10 +293,11 @@ def make_cofo_dds(
         return extend_dataset(d, (z, p.f(z)))
 
     def reward(t, d, action):
-        return info_gain(p, d, successor(d, action)).bits
+        # info_gain(p, d, d2).bits, less the KL term that reward discards
+        d2 = successor(d, action)
+        return evaluate(dataset_key(d), d)[1] - evaluate(dataset_key(d2), d2)[1]
 
-    return reachable_problem(d0, horizon, lambda t, d: action_set(d), successor, reward,
-                             state_key=dataset_key)
+    return reachable_problem(d0, horizon, actions, successor, reward, state_key=dataset_key)
 
 
 # ---------------------------------------------------------------------------

@@ -121,7 +121,10 @@ def pattern_frequency(view, pattern: Pattern) -> float:
 def pattern_surprisingness(view, pattern: Pattern) -> float:
     """Observed frequency minus the product of clause frequencies (the
     independence estimate).  Only meaningful for conjunctions."""
-    freq = pattern_frequency(view, pattern)
+    return _surprisingness(view, pattern, pattern_frequency(view, pattern))
+
+
+def _surprisingness(view, pattern: Pattern, freq: float) -> float:
     if pattern.kind == "disj":
         return 0.0
     product = 1.0
@@ -178,7 +181,8 @@ def mine_patterns(view, seeds, min_freq: float, budget: int,
     edge_types = sorted({e.type_label for e in _kb_edges(view)})
 
     def score(p: Pattern) -> MinedPattern:
-        return MinedPattern(p, pattern_frequency(view, p), pattern_surprisingness(view, p))
+        freq = pattern_frequency(view, p)
+        return MinedPattern(p, freq, _surprisingness(view, p, freq))
 
     pool: dict[Pattern, MinedPattern] = {}
     for s in seeds:

@@ -125,6 +125,40 @@ class TestExitCodes:
         assert f"cog {command[0]} runs --executor greedy or dp, not {executor!r}" in err
         assert not list(tmp_path.iterdir())
 
+    @staticmethod
+    def cofo_fixture(tmp_path, edit) -> Path:
+        data = json.loads((FIXTURES / "cofo_two_hypotheses.json").read_text())
+        edit(data)
+        path = tmp_path / "cofo.json"
+        path.write_text(json.dumps(data))
+        return path
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["hypotheses"][1]["table"].pop(2),
+         "hypothesis 'mirror' has no value at domain point 3"),
+        (lambda d: d["objective"].pop(), "objective has no value at domain point 4"),
+        (lambda d: d["domain"].append([2, 1.0]), "domain repeats a point"),
+    ])
+    def test_malformed_cofo_problem(self, tmp_path, edit, message, capsys):
+        path = self.cofo_fixture(tmp_path, edit)
+        assert run("cofo", "run", "--fixture", path, "--out", tmp_path / "out") == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_cofo_budget_zero(self, tmp_path, capsys):
+        assert run("cofo", "run", "--budget", 0, "--out", tmp_path) == 2
+        assert "error: horizon must be >= 1" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_cofo_no_hypothesis_fits_objective(self, tmp_path, capsys):
+        def shift(data):
+            data["objective"] = [[x, y + 10.0] for x, y in data["objective"]]
+
+        path = self.cofo_fixture(tmp_path, shift)
+        assert run("cofo", "run", "--fixture", path, "--out", tmp_path / "out") == 2
+        assert "error: no hypothesis consistent with pair" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_failed_audit_is_exit_one(self, tmp_path):
         assert run("subpattern", "audit", "--fixture",
                    FIXTURES / "subpattern_maxmin.json", "--out", tmp_path) == 1

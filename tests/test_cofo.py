@@ -2,13 +2,16 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cogpat import cofo
 from cogpat.cofo import (
     CofoError,
     CofoProblem,
     Hypothesis,
     InconsistencyError,
     combinator_lift,
+    consistent_hypotheses,
     extend_dataset,
     info_gain,
     make_cofo_dds,
@@ -18,7 +21,7 @@ from cogpat.cofo import (
     top_set,
     two_hypothesis_problem,
 )
-from cogpat.dds import exact_dp, greedy_run
+from cogpat.dds import chrono_solve, exact_dp, greedy_run
 
 
 def uniform_domain(xs):
@@ -298,3 +301,102 @@ class TestDatasetHelpers:
     def test_extend_deduplicates(self):
         d = extend_dataset((), (1, 1.0))
         assert extend_dataset(d, (1, 1.0)) == d
+
+
+class TestMalformedProblem:
+    @staticmethod
+    def build(domain=(1, 2, 3), objective=(1, 2, 3), table=(1, 2, 3)):
+        return CofoProblem(
+            domain=[(x, 1.0) for x in domain],
+            objective={x: float(x) for x in objective},
+            hypotheses=[Hypothesis("h", {x: float(x) for x in table}, 1.0)],
+            rho=0.3,
+            combinators={},
+        )
+
+    def test_well_formed(self):
+        assert self.build().weight(2) == pytest.approx(1 / 3)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"table": (1, 3)}, "hypothesis 'h' has no value at domain point 2"),
+        ({"objective": (1, 2)}, "objective has no value at domain point 3"),
+        ({"domain": (1, 2, 3, 2)}, "domain repeats a point"),
+    ])
+    def test_rejected(self, kwargs, message):
+        with pytest.raises(CofoError, match=message):
+            self.build(**kwargs)
+
+
+class TestAdapterMemo:
+    """The adapter evaluates each distinct dataset once; what it returns
+    must equal the uncached computations it stands for."""
+
+    def test_each_dataset_evaluated_once(self, monkeypatch):
+        calls = {"promising_set": [], "top_set": 0}
+        real_ps, real_top = cofo.promising_set, cofo.top_set
+
+        def counting_ps(p, d):
+            calls["promising_set"].append(cofo.dataset_key(d))
+            return real_ps(p, d)
+
+        def counting_top(*args):
+            calls["top_set"] += 1
+            return real_top(*args)
+
+        monkeypatch.setattr(cofo, "promising_set", counting_ps)
+        monkeypatch.setattr(cofo, "top_set", counting_top)
+        p = two_hypothesis_problem()
+        assert calls["top_set"] == len(p.hypotheses)
+        dds = make_cofo_dds(p, horizon=3)
+        exact_dp(dds)
+        chrono_solve(dds)
+        greedy_run(dds, ())
+        keys = calls["promising_set"]
+        assert len(keys) == len(set(keys)) > 1
+        assert calls["top_set"] == len(p.hypotheses)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_memo_matches_uncached(self, data):
+        n = data.draw(st.integers(2, 8), label="points")
+        xs = list(range(n))
+        values = st.integers(0, 3).map(float)
+        objective = {x: data.draw(values) for x in xs}
+        # h0 is the objective, so every reachable dataset stays consistent;
+        # the others agree with it on a random part of the domain
+        hyps = [
+            Hypothesis(f"h{i}", {x: objective[x] if i == 0 or data.draw(st.booleans())
+                                 else data.draw(values) for x in xs},
+                       data.draw(st.integers(1, 5)))
+            for i in range(data.draw(st.integers(1, 6), label="hypotheses"))
+        ]
+        # "sum" can leave the domain, which the action filter must drop
+        names = data.draw(st.lists(st.sampled_from(["left", "right", "min", "sum"]),
+                                   min_size=1, max_size=2, unique=True))
+        combs = {"left": lambda x, y: x, "right": lambda x, y: y,
+                 "min": min, "sum": lambda x, y: x + y}
+        p = CofoProblem(
+            domain=[(x, data.draw(st.integers(1, 4))) for x in xs],
+            objective=objective,
+            hypotheses=hyps,
+            rho=data.draw(st.floats(0.05, 0.95)),
+            combinators={c: combs[c] for c in names},
+            tol=data.draw(st.sampled_from([0.0, 0.5, 1.0])),
+        )
+        horizon = data.draw(st.integers(1, 3), label="horizon")
+        sampler = data.draw(st.sampled_from(["exhaustive", ("sample", 6)]))
+        dds = make_cofo_dds(p, horizon, sampler=sampler, seed=3)
+        for t in range(1, horizon + 1):
+            for d in dds.states(t):
+                brute = {x: 0.0 for x in p.points}
+                alive = consistent_hypotheses(p, d)
+                mass = sum(h.prior for h in alive)
+                for h in alive:
+                    for x in top_set(h.table, p.domain, p.rho):
+                        brute[x] += h.prior / mass
+                assert promising_set(p, d).chi == brute
+                fresh = make_cofo_dds(p, 1, sampler=sampler, seed=3)
+                assert dds.actions(t, d) == fresh.actions(1, d)
+                for a in dds.actions(t, d):
+                    (d2, _), = dds.transition(t, d, a)
+                    assert dds.reward(t, d, a) == info_gain(p, d, d2).bits

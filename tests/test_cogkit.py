@@ -34,6 +34,7 @@ from cogpat.cogkit import (
     rule_roundtrip_audit,
     uniform_crossover,
 )
+from cogpat.cogkit import mine
 from cogpat.cogkit.chain import Bid, KbModel
 from cogpat.cogkit.pln import _digamma
 from cogpat.metagraph import canonical_form
@@ -475,6 +476,19 @@ class TestPatternMining:
         assert canonical_form(pattern_to_metagraph(left)) == canonical_form(
             pattern_to_metagraph(right)
         )
+
+    def test_each_scored_pattern_joins_once(self, monkeypatch):
+        view = likes_kb()
+        seeds = [conj(("likes", ("X", "Y"))), conj(("knows", ("X", "Y")))]
+        calls = []
+        real = mine.pattern_frequency
+        monkeypatch.setattr(mine, "pattern_frequency",
+                            lambda v, pat: calls.append(pat) or real(v, pat))
+        mine_patterns(view, seeds, min_freq=0.0, budget=0)
+        assert calls == seeds
+        # the frequency reused for surprisingness gives the public value
+        for m in mine_patterns(view, seeds, min_freq=0.0, budget=4):
+            assert m.surprisingness == pattern_surprisingness(view, m.pattern)
 
     def test_min_freq_filters(self):
         view = likes_kb()
