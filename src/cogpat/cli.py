@@ -24,7 +24,7 @@ from .cogkit import (
     ecan_run,
     evolve,
     forward_chain,
-    greedy_merges,
+    merge_process,
     mine_patterns,
     one_max,
     point_mutation,
@@ -227,18 +227,18 @@ def cmd_relalg_verify_dp(args) -> int:
 # cog
 
 
-def _greedy_or_dp(args) -> bool:
+def _greedy_or_dp(args) -> str:
     if args.executor not in ("greedy", "dp"):
         raise FixtureError(f"cog {args.cmd} runs --executor greedy or dp, not {args.executor!r}")
-    return args.executor == "dp"
+    return args.executor
 
 
 def cmd_cog_chain(args) -> int:
-    executor = "dds" if _greedy_or_dp(args) else "greedy"
+    executor = _greedy_or_dp(args)
     kb = load_kb(args.fixture)
     rules = load_rules(args.rules) if args.rules else [deduction_rule()]
     steps = args.budget if args.budget is not None else 3
-    res = forward_chain(kb, rules, steps, executor=executor, seed=_resolve_seed(args))
+    res = forward_chain(kb, rules, steps, executor=executor)
     _write_json(args, "chain.json", {
         "statements": {f"{a}->{b}": _tv_dict(tv) for (a, b), tv in sorted(res.statements.items())},
         "trace": [
@@ -273,12 +273,15 @@ def cmd_cog_backchain(args) -> int:
 
 
 def cmd_cog_cluster(args) -> int:
-    executor = "exact_dp" if _greedy_or_dp(args) else "greedy"
+    executor = _greedy_or_dp(args)
     points, k = load_points(args.fixture)
     dist = lambda x, y: (
         (points[x][0] - points[y][0]) ** 2 + (points[x][1] - points[y][1]) ** 2
     ) ** 0.5
-    clustering = agglomerate(list(points), dist, k, executor)
+    try:
+        clustering = agglomerate(list(points), dist, k, executor)
+    except ddsmod.SizeError as exc:
+        raise FixtureError(str(exc)) from None
     _write_json(args, "clusters.json", {
         "blocks": sorted(sorted(b) for b in clustering.blocks),
         "quality": clustering.quality,
@@ -293,8 +296,7 @@ def cmd_cog_mine(args) -> int:
     budget = args.budget if args.budget is not None else 5
     types = sorted({e.type_label for e in view.edges() if len(e.targets) == 2})
     seeds = [conj((t, ("X", "Y"))) for t in types]
-    mined = mine_patterns(view, seeds, min_freq=args.min_freq, budget=budget,
-                          seed=_resolve_seed(args))
+    mined = mine_patterns(view, seeds, min_freq=args.min_freq, budget=budget)
     _write_json(args, "mined.json", [
         {"kind": m.pattern.kind,
          "clauses": [[t, list(vs)] for t, vs in m.pattern.sorted_clauses],
@@ -362,9 +364,8 @@ def _five_item_alignment():
     dist = lambda x, y: (
         (points[x][0] - points[y][0]) ** 2 + (points[x][1] - points[y][1]) ** 2
     ) ** 0.5
-    trace = []
-    for _, a, b in greedy_merges(sorted(points), dist, 2):
-        trace += [(a | b, a), (a | b, b)]
+    merges, _ = ddsmod.greedy(horizon=len(points) - 2, **merge_process(sorted(points), dist))
+    trace = [(a | b, x) for a, b in merges for x in (a, b)]
     items = sorted({v for edge in trace for v in edge}, key=sorted)
     sm = SimplicityMeasure(
         sigma=lambda s: float(len(s) ** 2), sigma_star=lambda name, y, z: 1.0

@@ -25,8 +25,8 @@ from .chain import (
 from .cluster import (
     Clustering,
     agglomerate,
-    greedy_merges,
     logical_entropy,
+    merge_process,
     partition_quality,
 )
 from .mine import (
@@ -48,7 +48,7 @@ __all__ = [
     "Bid", "BidNode", "ChainResult", "Rule", "backward_chain_tv",
     "deduction_rule", "forward_chain", "implication_kb", "inversion_rule",
     "rule_roundtrip_audit",
-    "Clustering", "agglomerate", "greedy_merges", "logical_entropy", "partition_quality",
+    "Clustering", "agglomerate", "logical_entropy", "merge_process", "partition_quality",
     "MinedPattern", "Pattern", "clause_frequency", "conj", "disj",
     "mine_patterns", "pattern_frequency", "pattern_surprisingness",
     "pattern_to_metagraph",

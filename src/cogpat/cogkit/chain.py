@@ -153,13 +153,13 @@ def _apply(model: KbModel, conclusion, tv) -> KbModel:
     return KbModel(model.priors, stmts)
 
 
-def forward_chain(kb, rules, steps: int, executor: str = "greedy", seed: int = 0) -> ChainResult:
+def forward_chain(kb, rules, steps: int, executor: str = "greedy") -> ChainResult:
     model = KbModel.from_view(kb)
     if not model.stmts:
         raise ValueError("kb holds no statements")
-    if executor == "dds" and steps > 0:
+    if executor == "dp" and steps > 0:
         return _forward_chain_dds(model, rules, steps)
-    if executor not in ("greedy", "dds"):
+    if executor not in ("greedy", "dp"):
         raise ValueError(f"unknown executor {executor!r}")
     trace = []
     added = {}

@@ -2,16 +2,18 @@
 
 Partitions are frozensets of frozensets, so any merge order reaching the
 same partition produces the identical value.  Quality defaults to the
-negative mean within-block pairwise distance; the staged merge process is
-also solvable exactly by the decision-system engine for small n.
+negative mean within-block pairwise distance.  The staged merge process is
+declared once (`merge_process`) and run greedily or, for small n, exactly
+by the decision-system executors.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
-from ..dds import plan
+from ..dds import SizeError, greedy, plan
 
 
 @dataclass(frozen=True)
@@ -56,34 +58,33 @@ def _pairs(blocks) -> list:
     return list(itertools.combinations(sorted(blocks, key=sorted), 2))
 
 
-def greedy_merges(items, distance, k: int):
-    """Greedy agglomeration from singletons down to k blocks.  Each step
-    merges the pair whose merge gives the best partition quality (ties to
-    the first pair in sorted order) and yields (blocks after, a, b)."""
-    blocks = frozenset(frozenset([x]) for x in items)
-    while len(blocks) > k:
-        a, b = max(_pairs(blocks), key=lambda ab: partition_quality(_merge(blocks, *ab), distance))
-        blocks = _merge(blocks, a, b)
-        yield blocks, a, b
+def merge_process(items, distance) -> dict:
+    """The merge process as keyword arguments of `dds.plan` and `dds.greedy`
+    (less the horizon): from singletons, an action merges two blocks (`_pairs`
+    lists them in `_key` order) and earns the gain in partition quality.  The
+    quality of each state is memoized; merged candidates are not kept."""
+    quality = functools.cache(lambda blocks: partition_quality(blocks, distance))
+    return dict(
+        start=frozenset(frozenset([x]) for x in items),
+        actions=lambda t, blocks: _pairs(blocks),
+        successor=lambda blocks, ab: _merge(blocks, *ab),
+        reward=lambda t, blocks, ab: (
+            partition_quality(_merge(blocks, *ab), distance) - quality(blocks)),
+        action_key=_key,
+    )
 
 
 def agglomerate(items, distance, k: int, executor: str = "greedy") -> Clustering:
+    """Merge `items` from singletons down to k blocks, by `dds.greedy`
+    (executor "greedy") or exactly by `dds.plan` ("dp", n <= 7)."""
     items = sorted(items)
     n = len(items)
     if not (1 <= k <= n):
         raise ValueError(f"need n >= k >= 1, got n={n}, k={k}")
-    start = frozenset(frozenset([x]) for x in items)
-    if k == n:
-        return _clustering(start, n, distance)
-    if executor == "greedy":
-        *_, (blocks, _, _) = greedy_merges(items, distance, k)
-        return _clustering(blocks, n, distance)
-    if executor == "exact_dp":
-        if n > 7:
-            raise ValueError("exact clustering is limited to n <= 7")
-        reward = lambda t, bl, ab: (
-            partition_quality(_merge(bl, *ab), distance) - partition_quality(bl, distance))
-        _, blocks = plan(start, n - k, lambda t, bl: _pairs(bl), lambda bl, ab: _merge(bl, *ab),
-                         reward, action_key=_key)
-        return _clustering(blocks, n, distance)
-    raise ValueError(f"unknown executor {executor!r}")
+    run = {"greedy": greedy, "dp": plan}.get(executor)
+    if run is None:
+        raise ValueError(f"unknown executor {executor!r}")
+    if run is plan and k < n and n > 7:
+        raise SizeError(f"exact clustering is limited to n <= 7, got n={n}")
+    _, blocks = run(horizon=n - k, **merge_process(items, distance))
+    return _clustering(blocks, n, distance)

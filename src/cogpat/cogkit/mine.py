@@ -16,7 +16,6 @@ the work follows the distinct partial bindings, not the tuples.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 
 from ..metagraph import TypedMetagraph, as_view
@@ -167,17 +166,13 @@ def _fresh_var(pattern: Pattern) -> str:
     return f"v{i}"
 
 
-def mine_patterns(view, seeds, min_freq: float, budget: int,
-                  executor: str = "greedy", seed: int = 0) -> list[MinedPattern]:
+def mine_patterns(view, seeds, min_freq: float, budget: int) -> list[MinedPattern]:
     """Grow a pattern pool: per round, expand an existing pattern (extend a
     conjunction with a chained clause, or combine two same-kind patterns),
     keep the result if frequent enough, reward = pool quality increase."""
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    if executor not in ("greedy", "weighted"):
-        raise ValueError(f"unknown executor {executor!r}")
     view = as_view(view)
-    rng = random.Random(seed)
     edge_types = sorted({e.type_label for e in _kb_edges(view)})
 
     def score(p: Pattern) -> MinedPattern:
@@ -212,12 +207,7 @@ def mine_patterns(view, seeds, min_freq: float, budget: int,
         keepable = [m for m in scored if m.frequency >= min_freq]
         if not keepable:
             break
-        if executor == "greedy":
-            chosen = max(keepable, key=lambda m: (m.frequency, _pattern_key(m.pattern)))
-        else:
-            chosen = rng.choices(
-                keepable, weights=[m.frequency + 1e-9 for m in keepable], k=1
-            )[0]
+        chosen = max(keepable, key=lambda m: (m.frequency, _pattern_key(m.pattern)))
         pool[chosen.pattern] = chosen
     return sorted(
         (m for m in pool.values() if m.frequency >= min_freq),

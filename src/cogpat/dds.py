@@ -6,13 +6,16 @@ transitions are point masses).  Solvers: greedy rollout, and one Bellman
 step run three ways: exact backward induction and sampled stochastic
 backward induction (one stage loop, two continuation estimators), and a
 memoized unfold/collapse over the subproblem dag (`morphisms.memo_recurse`).
-`reachable_problem` builds the deterministic problem over the states
-reachable from a start; `plan` solves it exactly and replays the argmax.
+A cognitive algorithm declares its process once (start, actions, successor,
+reward), and two executors run that one declaration over the reachable
+states (`reachable_problem`, whose layers are built on first use): `plan`
+solves it exactly and replays the argmax, `greedy` follows immediate reward.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import random
@@ -44,10 +47,6 @@ class PolicyGapError(DdsError):
 
 class TransitionError(DdsError):
     """Transition probabilities do not sum to one."""
-
-
-class DegenerateStartError(DdsError):
-    """Local search started at a point with no candidates."""
 
 
 @dataclass
@@ -233,17 +232,17 @@ def greedy_run(p: DdsProblem, s0, mode: str = "argmax", seed: int = 0) -> Trajec
             raise DeadEndError(f"no feasible action at stage {t}, state {s!r}")
         rewards = [p.reward(t, s, x) for x in acts]
         if mode == "argmax":
-            best = max(rewards)
-            x = next(a for a, r in zip(acts, rewards) if r == best)
+            i = rewards.index(max(rewards))
         elif mode == "proportional":
             weights = [max(r, 0.0) for r in rewards]
             if sum(weights) <= 0.0:
                 weights = [1.0] * len(acts)
-            x = rng.choices(acts, weights=weights, k=1)[0]
+            # the same draw as choosing from acts: choices picks by index
+            i = rng.choices(range(len(acts)), weights=weights, k=1)[0]
         else:
             raise ValueError(f"unknown greedy mode: {mode}")
-        r = p.reward(t, s, x)
-        steps.append((s, x, r))
+        x = acts[i]
+        steps.append((s, x, rewards[i]))
         if t < p.n:
             dist = p.checked_transition(t, s, x)
             succ, probs = zip(*dist)
@@ -257,7 +256,6 @@ def evaluate_policy(p: DdsProblem, policy: Mapping, episodes: int, seed: int = 0
     rng = random.Random(seed)
     totals = []
     for _ in range(episodes):
-        s = None
         first = p.states(1)
         s = first[0] if len(first) == 1 else rng.choice(list(first))
         total = 0.0
@@ -325,19 +323,24 @@ def reachable_problem(start, horizon: int, actions, successor, reward,
     Stage 1 holds `start`; stage t + 1 holds the successors of stage t's
     states under every action, deduplicated by `state_key` with the first
     representative kept.  `actions(t, s)` and `reward(t, s, x)` are as in
-    `DdsProblem`; `successor(s, x)` is the next state.
+    `DdsProblem`; `successor(s, x)` is the next state.  The layers are
+    built on the first `states` call, so a rollout never builds them.
     """
-    layers = [[start]]
-    for t in range(1, horizon):
-        seen: dict = {}
-        for s in layers[-1]:
-            for x in actions(t, s):
-                s2 = successor(s, x)
-                seen.setdefault(state_key(s2), s2)
-        layers.append(list(seen.values()))
+    @functools.cache
+    def layers():
+        out = [[start]]
+        for t in range(1, horizon):
+            seen: dict = {}
+            for s in out[-1]:
+                for x in actions(t, s):
+                    s2 = successor(s, x)
+                    seen.setdefault(state_key(s2), s2)
+            out.append(list(seen.values()))
+        return out
+
     return DdsProblem(
         n=horizon,
-        states=lambda t: layers[t - 1] if 1 <= t <= horizon else [],
+        states=lambda t: layers()[t - 1] if 1 <= t <= horizon else [],
         actions=actions,
         reward=reward,
         transition=lambda t, s, x: [(successor(s, x), 1.0)],
@@ -360,53 +363,16 @@ def plan(start, horizon: int, actions, successor, reward, action_key=lambda a: a
     return taken, s
 
 
-# ---------------------------------------------------------------------------
-# Greedy pattern search over a snapshot
-
-
-@dataclass
-class OptimizeResult:
-    best: Any
-    best_value: float
-    trail: list
-    evaluations: int
-    converged: bool
-
-
-def greedy_fold_optimize(view, candidates, objective, start, budget: int) -> OptimizeResult:
-    """Iterated local candidate generation + evaluation from `start`.
-
-    `candidates(point)` yields neighboring points; stops at the evaluation
-    budget or at a local optimum.  Returns the best visited point and the
-    walk taken to reach it.
-    """
-    view.check_fresh()
-    first = list(candidates(start))
-    if not first:
-        raise DegenerateStartError(f"no candidates at start point {start!r}")
-    current = start
-    current_val = objective(start)
-    evals = 1
-    trail = [(start, current_val)]
-    converged = False
-    while evals < budget:
-        cands = sorted(candidates(current))
-        scored = []
-        for c in cands:
-            if evals >= budget:
-                break
-            scored.append((objective(c), c))
-            evals += 1
-        if not scored:
-            break
-        # max returns the first of tied candidates, the lowest in sorted order
-        best_val, best_c = max(scored, key=lambda vc: vc[0])
-        if best_val <= current_val:
-            converged = True
-            break
-        current, current_val = best_c, best_val
-        trail.append((current, current_val))
-    return OptimizeResult(current, current_val, trail, evals, converged)
+def greedy(start, horizon: int, actions, successor, reward, action_key=lambda a: a):
+    """Run `greedy_run` over `reachable_problem(...)`: the declaration `plan`
+    solves, executed by immediate reward (ties to the lowest action key).
+    Returns the actions taken and the state they end in."""
+    p = reachable_problem(start, horizon, actions, successor, reward, action_key=action_key)
+    steps = greedy_run(p, start).steps
+    if not steps:
+        return [], start
+    s, x, _ = steps[-1]
+    return [x for _, x, _ in steps], successor(s, x)
 
 
 def single_peak_audit(points, candidates, objective) -> bool:

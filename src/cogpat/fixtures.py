@@ -154,6 +154,8 @@ def load_points(path):
         points[label] = (float(xy[0]), float(xy[1]))
     if not isinstance(k, int) or k < 1:
         raise FixtureError(f"{path}: field 'k' must be a positive integer")
+    if k > len(points):
+        raise FixtureError(f"{path}: field 'k' is {k}, more than the {len(points)} points")
     return points, k
 
 

@@ -282,7 +282,7 @@ def test_criterion_7_cognitive_instance_oracles():
     pair = frozenset({frozenset({0, 1}), frozenset({2, 3})})
     checks["cluster fixture"] = all(
         agglomerate(list(pts), dist, 2, e).blocks == pair
-        for e in ("greedy", "exact_dp")
+        for e in ("greedy", "dp")
     )
     rng = random.Random(0)
     exact_wins = True
@@ -292,7 +292,7 @@ def test_criterion_7_cognitive_instance_oracles():
         rdist = lambda x, y: math.dist(rpts[x], rpts[y])
         k = rng.randint(1, n - 1)
         g = agglomerate(list(rpts), rdist, k, "greedy")
-        e = agglomerate(list(rpts), rdist, k, "exact_dp")
+        e = agglomerate(list(rpts), rdist, k, "dp")
         exact_wins &= e.quality >= g.quality - 1e-9
     checks["cluster exact >= greedy"] = exact_wins
 

@@ -125,6 +125,18 @@ class TestExitCodes:
         assert f"cog {command[0]} runs --executor greedy or dp, not {executor!r}" in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("n, k, executor, message", [
+        (4, 5, "greedy", "field 'k' is 5, more than the 4 points"),
+        (8, 2, "dp", "error: exact clustering is limited to n <= 7, got n=8"),
+    ])
+    def test_cluster_input_too_large(self, tmp_path, n, k, executor, message, capsys):
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps({"k": k, "points": {f"p{i}": [i, 0] for i in range(n)}}))
+        assert run("cog", "cluster", "--fixture", path, "--executor", executor,
+                   "--out", tmp_path / "out") == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @staticmethod
     def cofo_fixture(tmp_path, edit) -> Path:
         data = json.loads((FIXTURES / "cofo_two_hypotheses.json").read_text())

@@ -188,7 +188,7 @@ class TestForwardChain:
 
     def test_dds_executor_agrees_on_fixture(self):
         greedy = forward_chain(two_hop_kb(), [deduction_rule()], steps=2)
-        planned = forward_chain(two_hop_kb(), [deduction_rule()], steps=2, executor="dds")
+        planned = forward_chain(two_hop_kb(), [deduction_rule()], steps=2, executor="dp")
         assert set(greedy.statements) == set(planned.statements)
         for key in greedy.statements:
             assert greedy.statements[key].s == pytest.approx(planned.statements[key].s)
@@ -280,7 +280,7 @@ def point_distance(points):
 class TestClustering:
     def test_two_separated_pairs(self):
         pts = pair_points()
-        for executor in ("greedy", "exact_dp"):
+        for executor in ("greedy", "dp"):
             c = agglomerate(list(pts), point_distance(pts), 2, executor)
             assert c.blocks == frozenset({frozenset({0, 1}), frozenset({2, 3})})
 
@@ -321,8 +321,36 @@ class TestClustering:
             pts = {i: (rng.uniform(0, 5), rng.uniform(0, 5)) for i in range(n)}
             dist = point_distance(pts)
             g = agglomerate(list(pts), dist, k, "greedy")
-            e = agglomerate(list(pts), dist, k, "exact_dp")
+            e = agglomerate(list(pts), dist, k, "dp")
             assert e.quality >= g.quality - 1e-9
+
+    @staticmethod
+    def old_greedy_merges(items, distance, k):
+        """The greedy loop `agglomerate` used before it ran `dds.greedy`:
+        merge the pair whose merged partition scores best, ties to the
+        first pair in sorted-block order."""
+        blocks = frozenset(frozenset([x]) for x in items)
+        while len(blocks) > k:
+            pairs = itertools.combinations(sorted(blocks, key=sorted), 2)
+            a, b = max(pairs, key=lambda ab: partition_quality(
+                (blocks - set(ab)) | {ab[0] | ab[1]}, distance))
+            blocks = (blocks - {a, b}) | {a | b}
+        return blocks
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=9),
+           st.data())
+    def test_greedy_matches_old_loop_and_dp_bounds_it(self, coords, data):
+        # grid points repeat distances, so merges tie
+        pts = dict(enumerate(coords))
+        dist = point_distance(pts)
+        k = data.draw(st.integers(1, len(pts)), "k")
+        g = agglomerate(list(pts), dist, k, "greedy")
+        old = self.old_greedy_merges(sorted(pts), dist, k)
+        assert g.blocks == old
+        assert g.quality == partition_quality(old, dist)
+        if len(pts) <= 6:
+            assert g.quality <= agglomerate(list(pts), dist, k, "dp").quality + 1e-9
 
     def test_merge_order_irrelevant_for_value(self):
         # identical partitions give identical Clustering values however built

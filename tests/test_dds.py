@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from cogpat.dds import (
     DeadEndError,
-    DegenerateStartError,
     DdsProblem,
     PolicyGapError,
     SizeError,
@@ -18,7 +17,7 @@ from cogpat.dds import (
     gd1,
     gd1_noisy,
     gd1_stochastic,
-    greedy_fold_optimize,
+    greedy,
     greedy_run,
     plan,
     policy_from,
@@ -301,6 +300,29 @@ class TestReachablePlanner:
         assert p.states(3) == ["bb", "ba", "aa"]
         assert p.states(4) == []
 
+    def test_greedy_builds_no_layer(self):
+        # states 2s + x form a tree, so every state is reached once
+        asked, moved = [], []
+
+        def actions(t, s):
+            asked.append((t, s))
+            return [1, 2]
+
+        def successor(s, x):
+            moved.append((s, x))
+            return 2 * s + x
+
+        decl = (0, 4, actions, successor, lambda t, s, x: float(x))
+        taken, end = greedy(*decl)
+        assert (taken, end) == ([2, 2, 2, 2], 30)
+        assert asked == [(1, 0), (2, 2), (3, 6), (4, 14)]
+        assert moved == [(0, 2), (2, 2), (6, 2), (14, 2)]
+        p = reachable_problem(*decl)
+        assert len(asked) == 4  # construction builds nothing
+        assert p.states(3) == [3, 4, 5, 6]
+        # the first states call builds every layer, stages 1 to 3 expanded
+        assert asked[4:] == [(1, 0), (2, 1), (2, 2), (3, 3), (3, 4), (3, 5), (3, 6)]
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_plan_path_reward_is_exact_value(self, data):
@@ -355,15 +377,26 @@ def node_neighbors(view):
     return cand2
 
 
-class TestGreedyFoldOptimize:
+def local_search(view, objective) -> dict:
+    """Hill climbing over a snapshot's nodes, declared as a decision process:
+    an action stays put or hops to a neighbour (the action is the node moved
+    to) and earns the gain in the objective."""
+    hops = node_neighbors(view)
+    return dict(
+        actions=lambda t, a: [a] + hops(a),
+        successor=lambda a, x: x,
+        reward=lambda t, a, x: objective(x) - objective(a),
+    )
+
+
+class TestLocalSearch:
     def test_monotone_chain(self):
         view = path_view(3)
         nodes = [a.id for a in view.nodes()]
         objective = dict(zip(nodes, [1.0, 2.0, 3.0])).get
-        cand = node_neighbors(view)
-        res = greedy_fold_optimize(view, cand, lambda a: objective(a, 0.0), nodes[0], budget=50)
-        assert res.best == nodes[-1]
-        assert res.best_value == 3.0
+        _, end = greedy(nodes[0], 3, **local_search(view, objective))
+        assert end == nodes[-1]
+        assert objective(end) == 3.0
 
     def test_single_peak_matches_exhaustive(self):
         view = path_view(10)
@@ -372,9 +405,10 @@ class TestGreedyFoldOptimize:
         obj = lambda a: -abs(a - peak)
         cand = node_neighbors(view)
         assert single_peak_audit(nodes, cand, obj)
-        res = greedy_fold_optimize(view, cand, obj, nodes[0], budget=500)
         exhaustive = max(nodes, key=obj)
-        assert res.best == exhaustive
+        for run in (greedy, plan):
+            _, end = run(nodes[0], 10, **local_search(view, obj))
+            assert end == exhaustive
 
     def test_two_peaks_reports_gap(self):
         view = path_view(10)
@@ -383,15 +417,17 @@ class TestGreedyFoldOptimize:
         obj = vals.get
         cand = node_neighbors(view)
         assert not single_peak_audit(nodes, cand, obj)
-        res = greedy_fold_optimize(view, cand, obj, nodes[0], budget=500)
-        assert res.best == nodes[0]  # stuck on the lesser peak
-        exhaustive = max(obj(n) for n in nodes)
-        assert exhaustive - res.best_value == 6
+        _, stuck = greedy(nodes[0], 10, **local_search(view, obj))
+        assert stuck == nodes[0]  # stuck on the lesser peak
+        _, best = plan(nodes[0], 10, **local_search(view, obj))
+        assert best == nodes[8]
+        assert obj(best) - obj(stuck) == 6
 
-    def test_degenerate_start(self):
+    def test_isolated_start_stays(self):
         view = path_view(1)
-        with pytest.raises(DegenerateStartError):
-            greedy_fold_optimize(view, lambda a: [], lambda a: 0.0, 0, budget=10)
+        taken, end = greedy(0, 3, **local_search(view, lambda a: 0.0))
+        assert taken == [0, 0, 0]
+        assert end == 0
 
 
 class TestValueFunctionExport:
