@@ -177,6 +177,8 @@ def cmd_cofo_run(args) -> int:
 def _verify_suite(args, make_instance, verify) -> int:
     seed0 = _resolve_seed(args)
     want = args.instances
+    if want < 1:
+        raise FixtureError(f"--instances must be >= 1, got {want}")
     satisfied = 0
     violations = []
     skipped = 0
@@ -278,10 +280,7 @@ def cmd_cog_cluster(args) -> int:
     dist = lambda x, y: (
         (points[x][0] - points[y][0]) ** 2 + (points[x][1] - points[y][1]) ** 2
     ) ** 0.5
-    try:
-        clustering = agglomerate(list(points), dist, k, executor)
-    except ddsmod.SizeError as exc:
-        raise FixtureError(str(exc)) from None
+    clustering = agglomerate(list(points), dist, k, executor)
     _write_json(args, "clusters.json", {
         "blocks": sorted(sorted(b) for b in clustering.blocks),
         "quality": clustering.quality,
@@ -486,7 +485,7 @@ def main(argv=None) -> int:
         if args.handler in _NEEDS_FIXTURE and not args.fixture:
             raise FixtureError("this command requires --fixture")
         return args.handler(args)
-    except (FixtureError, CofoError) as exc:
+    except (FixtureError, CofoError, ddsmod.DdsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CheckFailure as exc:

@@ -25,14 +25,14 @@ class Clustering:
 
 def logical_entropy(blocks, n: int) -> float:
     """1 - sum((|B|/n)^2): chance two random draws land in different blocks."""
-    return 1.0 - sum((len(b) / n) ** 2 for b in blocks)
+    return 1.0 - sum((len(b) / n) ** 2 for b in sorted(blocks, key=sorted))
 
 
 def partition_quality(blocks, distance) -> float:
     """Negative mean pairwise distance within blocks; 0 for all-singletons."""
     pairs = [
         (x, y)
-        for block in blocks
+        for block in sorted(blocks, key=sorted)
         for x, y in itertools.combinations(sorted(block), 2)
     ]
     if not pairs:

@@ -183,6 +183,10 @@ def _expectation(dist, value: Callable[[Any], float]) -> float:
     return cont
 
 
+def _unknown_successor(t, s2) -> DdsError:
+    return DdsError(f"a transition at stage {t} names {s2!r}, which is not a stage {t + 1} state")
+
+
 def _backward_induction(p: DdsProblem, budget_cells: int, estimate) -> ValueFunction:
     """Stages descending, states in layer order, one Bellman cell each.
     `estimate(dist, value)` is the continuation estimator, where `value(s2)`
@@ -191,7 +195,11 @@ def _backward_induction(p: DdsProblem, budget_cells: int, estimate) -> ValueFunc
     vf = ValueFunction(p.n)
     table = vf.table
     for t in range(p.n, 0, -1):
-        value = lambda s2: table[(t + 1, p.state_key(s2))].value
+        def value(s2):
+            try:
+                return table[(t + 1, p.state_key(s2))].value
+            except KeyError:
+                raise _unknown_successor(t, s2) from None
         cont = lambda dist: estimate(dist, value)
         for s in p.states(t):
             table[(t, p.state_key(s))] = _bellman(p, t, s, cont)
@@ -204,8 +212,9 @@ def exact_dp(p: DdsProblem, budget_cells: int = 10**6) -> ValueFunction:
 
 
 def stochastic_dp(p: DdsProblem, rollouts: int, seed: int, budget_cells: int = 10**6) -> ValueFunction:
-    """Monte-Carlo backward induction: continuation values estimated from
-    sampled successor states; full action sweep per cell."""
+    """Monte-Carlo backward induction, full action sweep per cell: a point
+    mass continues with its successor's value, any other distribution with
+    the mean of `rollouts` draws from its successors' values by weight."""
     if rollouts < 1:
         raise DdsError("rollouts must be >= 1")
     rng = random.Random(seed)
@@ -214,8 +223,10 @@ def stochastic_dp(p: DdsProblem, rollouts: int, seed: int, budget_cells: int = 1
         succ, probs = zip(*dist)
         if len(succ) == 1:
             return value(succ[0])  # point mass
-        draws = rng.choices(succ, weights=probs, k=rollouts)
-        return sum(value(d) for d in draws) / rollouts
+        # choices picks by index from the weights alone, so drawing values
+        # draws what drawing successors did, one value read per successor
+        draws = rng.choices([value(s2) for s2 in succ], weights=probs, k=rollouts)
+        return sum(draws) / rollouts
 
     return _backward_induction(p, budget_cells, sampled)
 
@@ -312,6 +323,9 @@ def chrono_solve(p: DdsProblem, budget_cells: int = 10**6) -> ValueFunction:
     _, memo, hits = memo_recurse((0, None, None), children_of, compute, key=itemgetter(0, 1))
     vf = ValueFunction(p.n)
     vf.table = {node[:2]: memo[node[:2]] for node in roots}
+    if len(memo) > len(vf.table) + 1:  # a successor outside the stage tables was solved
+        t, key = min(memo.keys() - vf.table.keys() - {(0, None)}, key=repr)
+        raise _unknown_successor(t - 1, key)
     vf.memo_hits = hits
     return vf
 

@@ -9,6 +9,7 @@ fixed depth, which keeps the fold carrier finite.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -20,10 +21,6 @@ class RelAlgError(Exception):
 
 
 class CarrierMismatchError(RelAlgError):
-    pass
-
-
-class ConvergenceError(RelAlgError):
     pass
 
 
@@ -82,11 +79,8 @@ def compose(r1: FinRel, r2: FinRel) -> FinRel:
     by_mid: dict = {}
     for y, z in r2.pairs:
         by_mid.setdefault(y, []).append(z)
-    out = set()
-    for x, y in r1.pairs:
-        for z in by_mid.get(y, ()):
-            out.add((x, z))
-    return FinRel(r1.src, r2.tgt, frozenset(out))
+    return FinRel(r1.src, r2.tgt, frozenset(
+        [(x, z) for x, y in r1.pairs for z in by_mid.get(y, ())]))
 
 
 def _same_type(r1: FinRel, r2: FinRel):
@@ -155,11 +149,11 @@ def shrink(s: FinRel, r: FinRel) -> FinRel:
     s_out: dict = {}
     for a, b in s.pairs:
         s_out.setdefault(a, set()).add(b)
-    kept = frozenset(
-        (a, b)
-        for a, b in s.pairs
-        if all((b, c) in r.pairs for c in s_out[a])
-    )
+    r_up: dict = {}
+    for b, c in r.pairs:
+        r_up.setdefault(b, set()).add(c)
+    none: frozenset = frozenset()
+    kept = frozenset([(a, b) for a, b in s.pairs if s_out[a] <= r_up.get(b, none)])
     return FinRel(s.src, s.tgt, kept)
 
 
@@ -209,15 +203,20 @@ class FunctorSpec:
                 out.add((i, *combo))
         return frozenset(out)
 
+    def _consts(self, carriers: Carriers) -> tuple:
+        """(name, values) of each constant carrier, in first-use order: with
+        the functor, all that its carriers depend on."""
+        return tuple({slot[1]: carriers.get(slot[1])
+                      for slots in self.summands for slot in slots if slot != X_SLOT}.items())
+
+    def mu_order(self, carriers: Carriers, depth: Optional[int] = None) -> tuple:
+        """muF truncated at `depth` constructor layers, children first: layer
+        by layer, each layer's new elements in repr order."""
+        return _mu_order(self, self.depth if depth is None else depth, self._consts(carriers))
+
     def mu(self, carriers: Carriers, depth: Optional[int] = None) -> frozenset:
         """Initial-algebra carrier truncated at `depth` constructor layers."""
-        d = self.depth if depth is None else depth
-        layer: frozenset = frozenset()
-        seen: set = set()
-        for _ in range(d):
-            layer = self.apply(carriers, seen)
-            seen |= layer
-        return frozenset(seen)
+        return frozenset(self.mu_order(carriers, depth))
 
     def children(self, element) -> tuple:
         i = element[0]
@@ -226,33 +225,44 @@ class FunctorSpec:
         )
 
     def lift(self, carriers: Carriers, r: FinRel) -> FinRel:
-        """F(R): componentwise on recursion slots, equality on constants."""
-        out = set()
-        by_src: dict = {}
-        for x, y in r.pairs:
-            by_src.setdefault(x, []).append(y)
+        """F(R): componentwise on recursion slots, equality on constants.
+        Each slot offers a pool of (lhs, rhs) pairs, led by the tag."""
+        out = []
         for i, slots in enumerate(self.summands):
-            lhs_pools = []
+            pools = [((i, i),)]
             for slot in slots:
-                if slot == X_SLOT:
-                    lhs_pools.append(tuple(by_src))
-                else:
-                    lhs_pools.append(carriers.get(slot[1]))
-            for lhs in itertools.product(*lhs_pools):
-                rhs_pools = [
-                    by_src[v] if slot == X_SLOT else (v,)
-                    for v, slot in zip(lhs, slots)
-                ]
-                for rhs in itertools.product(*rhs_pools):
-                    out.add(((i, *lhs), (i, *rhs)))
+                pools.append(r.pairs if slot == X_SLOT
+                             else [(v, v) for v in carriers.get(slot[1])])
+            out += [tuple(zip(*combo)) for combo in itertools.product(*pools)]
         return FinRel(fname(r.src), fname(r.tgt), frozenset(out))
 
 
+@functools.lru_cache(maxsize=64)
+def _mu_order(f: FunctorSpec, depth: int, consts: tuple) -> tuple:
+    carriers = Carriers(dict(consts))
+    order: list = []
+    seen: set = set()
+    for _ in range(depth):
+        new = f.apply(carriers, seen) - seen
+        order += sorted(new, key=repr)
+        seen |= new
+    return tuple(order)
+
+
+@functools.lru_cache(maxsize=64)
+def _functor_tables(f: FunctorSpec, consts: tuple, bases: tuple) -> tuple:
+    carriers = Carriers(dict(consts))
+    mu = tuple(sorted(_mu_order(f, f.depth, consts), key=repr))
+    tables = [(fname(b), tuple(sorted(f.apply(carriers, values), key=repr))) for b, values in bases]
+    return (*tables, (MU, mu), (fname(MU), tuple(sorted(f.apply(carriers, mu), key=repr))))
+
+
 def register_functor_carriers(carriers: Carriers, f: FunctorSpec, *names) -> None:
-    for b in names:
-        carriers.register(fname(b), sorted(f.apply(carriers, carriers.get(b)), key=repr))
-    carriers.register(MU, sorted(f.mu(carriers), key=repr))
-    carriers.register(fname(MU), sorted(f.apply(carriers, f.mu(carriers)), key=repr))
+    """Register F(b) for each named b, muF and F(muF), in repr order.  They
+    depend only on f and the carriers they read, so each shape is built once."""
+    bases = tuple((b, carriers.get(b)) for b in names)
+    for name, values in _functor_tables(f, f._consts(carriers), bases):
+        carriers.register(name, values)
 
 
 # ---------------------------------------------------------------------------
@@ -302,43 +312,24 @@ def rel_eval(expr, env: dict, carriers: Carriers, functor: Optional[FunctorSpec]
 # Relational fold over the truncated initial algebra
 
 
-def rel_fold(s: FinRel, f: FunctorSpec, carriers: Carriers, cap: int = 10_000) -> FinRel:
+def rel_fold(s: FinRel, f: FunctorSpec, carriers: Carriers) -> FinRel:
     """Least X with X = compose(in-converse, compose(F(X), s)): relate each
-    inductive element to every s-image of its recursively-related image."""
-    b = s.tgt
-    mu = f.mu(carriers)
+    inductive element to every s-image of its recursively-related image.
+    muF is well-founded, so X is a catamorphism, built in one pass over
+    `mu_order` (children first) rather than by Kleene iteration."""
     s_by_in: dict = {}
     for fin, out in s.pairs:
         s_by_in.setdefault(fin, []).append(out)
-    pairs: set = set()
-    for _ in range(cap):
-        new: set = set()
-        x_out: dict = {}
-        for m, v in pairs:
-            x_out.setdefault(m, []).append(v)
-        for m in mu:
-            i = m[0]
-            slots = f.summands[i]
-            pools = []
-            ok = True
-            for v, slot in zip(m[1:], slots):
-                if slot == X_SLOT:
-                    vals = x_out.get(v)
-                    if not vals:
-                        ok = False
-                        break
-                    pools.append(vals)
-                else:
-                    pools.append((v,))
-            if not ok:
-                continue
-            for combo in itertools.product(*pools):
-                for out in s_by_in.get((i, *combo), ()):
-                    new.add((m, out))
-        if new == pairs:
-            return FinRel(MU, b, frozenset(pairs))
-        pairs = new
-    raise ConvergenceError("fold saturation did not stabilize within cap")
+    x_out: dict = {}
+    for m in f.mu_order(carriers):
+        i = m[0]
+        pools = [x_out.get(v, ()) if slot == X_SLOT else (v,)
+                 for v, slot in zip(m[1:], f.summands[i])]
+        outs = {out for combo in itertools.product(*pools)
+                for out in s_by_in.get((i, *combo), ())}
+        if outs:
+            x_out[m] = outs
+    return FinRel(MU, s.tgt, frozenset([(m, v) for m, vs in x_out.items() for v in vs]))
 
 
 def is_functional(r: FinRel) -> bool:
@@ -414,16 +405,21 @@ class LfpResult:
 
 def lfp_dp(s: FinRel, t: FinRel, r: FinRel, f: FunctorSpec, carriers: Carriers, cap: int = 100) -> LfpResult:
     """Iterate X -> shrink(compose(compose(converse(t), F(X)), s), r) from
-    the empty relation; shrink breaks monotonicity, so stabilization is
-    checked rather than assumed."""
-    c = t.tgt
-    b = s.tgt
-    x = empty(c, b)
+    the empty relation, at most `cap` times; shrink breaks monotonicity, so
+    stabilization is checked rather than assumed.  The step is a function
+    of X alone, so once an X recurs the orbit is periodic and the X the
+    capped loop would end on is read off the orbit instead of iterated."""
+    t_conv = converse(t)
+    x = empty(t.tgt, s.tgt)
+    orbit, seen = [x], {x.pairs: 0}
     for k in range(cap):
-        lifted = f.lift(carriers, x)
-        x2 = shrink(compose(compose(converse(t), lifted), s), r)
+        x2 = shrink(compose(compose(t_conv, f.lift(carriers, x)), s), r)
         if x2.pairs == x.pairs:
             return LfpResult(x2, k + 1, True)
+        j = seen.setdefault(x2.pairs, k + 1)
+        if j <= k:
+            return LfpResult(orbit[j + (cap - j) % (k + 1 - j)], cap, False)
+        orbit.append(x2)
         x = x2
     return LfpResult(x, cap, False)
 
@@ -478,17 +474,15 @@ def verify_dp_theorem(s: FinRel, t: FinRel, r: FinRel, f: FunctorSpec, carriers:
 
 
 def transitive_closure(r: FinRel) -> FinRel:
-    pairs = set(r.pairs)
-    while True:
-        extra = {
-            (x, z)
-            for x, y in pairs
-            for y2, z in pairs
-            if y == y2 and (x, z) not in pairs
-        }
-        if not extra:
-            return FinRel(r.src, r.tgt, frozenset(pairs))
-        pairs |= extra
+    """Warshall: after round k, x reaches z through the first k intermediates."""
+    succ: dict = {}
+    for x, y in r.pairs:
+        succ.setdefault(x, set()).add(y)
+    for k, via_k in succ.items():
+        for reach in succ.values():
+            if k in reach:
+                reach |= via_k
+    return FinRel(r.src, r.tgt, frozenset([(x, y) for x, ys in succ.items() for y in ys]))
 
 
 def random_relation(rng: random.Random, carriers: Carriers, src: str, tgt: str, density: float) -> FinRel:
@@ -544,8 +538,7 @@ def random_dp_instance(seed: int):
     nb, nc = rng.choice([2, 3]), rng.choice([2, 3])
     carriers = Carriers({"A": [1, 2], "B": list(range(nb)), "C": list(range(nc))})
     f = list_functor("A", depth=2)
-    register_functor_carriers(carriers, f, "B")
-    carriers.register(fname("C"), sorted(f.apply(carriers, carriers.get("C")), key=repr))
+    register_functor_carriers(carriers, f, "B", "C")
     r = random_preorder(rng, carriers, "B", 0.4)
     s0 = random_relation(rng, carriers, fname("B"), "B", 0.4)
     s = sandwich_monotone(s0, converse(r), f, carriers)

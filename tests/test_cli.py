@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -171,6 +172,30 @@ class TestExitCodes:
         assert "error: no hypothesis consistent with pair" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", [
+        ["solve", "--executor", "dp"], ["solve", "--executor", "sdp"],
+        ["solve", "--executor", "chrono"], ["solve", "--executor", "greedy"], ["compare"],
+    ])
+    @pytest.mark.parametrize("nxt, message", [
+        ({"Z": 1.0}, "'Z'"),  # greedy reaches Z and has no action there
+        ({"B": 0.5}, "probabilities sum to 0.5 at t=1"),
+    ])
+    def test_malformed_dds_table(self, tmp_path, command, nxt, message, capsys):
+        data = json.loads((FIXTURES / "gd1.json").read_text())
+        data["actions"]["1"]["A"][0]["next"] = nxt  # a1, the greedy choice
+        path = tmp_path / "dds.json"
+        path.write_text(json.dumps(data))
+        assert run("dds", *command, "--fixture", path, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("suite", ["verify-greedy", "verify-dp"])
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_empty_verify_suite(self, tmp_path, suite, n, capsys):
+        assert run("relalg", suite, "--instances", n, "--out", tmp_path) == 2
+        assert f"error: --instances must be >= 1, got {n}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_failed_audit_is_exit_one(self, tmp_path):
         assert run("subpattern", "audit", "--fixture",
                    FIXTURES / "subpattern_maxmin.json", "--out", tmp_path) == 1
@@ -300,6 +325,36 @@ class TestHashSeedIndependence:
         assert len({p.split(os.sep)[0] for p in trees["0"]}) == len(commands)
         assert trees["0"] == trees["2"]
 
+    def test_clusters_of_string_labels_match_across_hash_seeds(self, tmp_path):
+        # string labels hash differently per seed, so block iteration order
+        # (and with it float sums and near-tie merges) would differ
+        rng = random.Random(7)
+        commands = []
+        for i in range(40):
+            n = rng.randint(4, 12)
+            k = rng.randint(1, 3)
+            centres = [(rng.uniform(0, 20), rng.uniform(0, 20)) for _ in range(k)]
+            points = {f"p{j}": [round(centres[j % k][0] + rng.gauss(0, 2), 3),
+                                round(centres[j % k][1] + rng.gauss(0, 2), 3)]
+                      for j in range(n)}
+            path = tmp_path / f"points{i}.json"
+            path.write_text(json.dumps({"points": points, "k": k}))
+            for executor in ("greedy", "dp") if n <= 7 else ("greedy",):
+                commands.append(["cog", "cluster", "--fixture", str(path),
+                                 "--executor", executor])
+        trees = {}
+        for hash_seed in ("0", "7"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (str(Path(cogpat.__file__).resolve().parents[1]),
+                            env.get("PYTHONPATH")) if p
+            )
+            subprocess.run([sys.executable, "-c", RUN_COMMANDS, str(tmp_path / hash_seed),
+                            json.dumps(commands)], cwd=REPO, env=env, check=True)
+            trees[hash_seed] = tree_bytes(tmp_path / hash_seed)
+        assert len(trees["0"]) == len(commands)
+        assert trees["0"] == trees["7"]
+
 
 class TestVerifySuites:
     def test_verify_greedy_report(self, tmp_path):
@@ -315,6 +370,13 @@ class TestVerifySuites:
         data = json.loads((tmp_path / "verify.json").read_text())
         assert data["satisfied"] == 15
         assert data["violating_seeds"] == []
+
+    def test_verify_dp_known_counterexample(self, tmp_path):
+        assert run("relalg", "verify-dp", "--instances", 100, "--seed", 595220,
+                   "--out", tmp_path) == 1
+        data = json.loads((tmp_path / "verify.json").read_text())
+        assert (data["satisfied"], data["skipped"]) == (100, 440)
+        assert data["violating_seeds"] == [595220]
 
 
 class TestOtherCommands:

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import json
 import random
 import statistics
 
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cogpat.dds import (
+    GD1_TABLES,
+    DdsError,
     DeadEndError,
     DdsProblem,
     PolicyGapError,
@@ -26,6 +29,7 @@ from cogpat.dds import (
     single_peak_audit,
     stochastic_dp,
 )
+from cogpat.dds import _backward_induction
 from cogpat.metagraph import TypedMetagraph
 
 
@@ -190,6 +194,22 @@ class TestStochasticDp:
         vf = stochastic_dp(random_problem(11, stochastic=True), rollouts=7, seed=3)
         assert sum(c.value for c in vf.table.values()) == 113.95555694169096
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 50), st.integers(0, 10**6))
+    def test_matches_the_successor_drawing_sampler(self, problem_seed, rollouts, seed):
+        p = random_problem(problem_seed, stochastic=True)
+        rng = random.Random(seed)
+
+        def draw_successors(dist, value):
+            succ, probs = zip(*dist)
+            if len(succ) == 1:
+                return value(succ[0])
+            draws = rng.choices(succ, weights=probs, k=rollouts)
+            return sum(value(d) for d in draws) / rollouts
+
+        oracle = _backward_induction(p, 10**6, draw_successors)
+        assert stochastic_dp(p, rollouts, seed).table == oracle.table
+
 
 class TestEvaluatePolicy:
     def test_optimal_policy_mean(self):
@@ -220,6 +240,18 @@ class TestEvaluatePolicy:
         p = gd1()
         with pytest.raises(PolicyGapError):
             evaluate_policy(p, {(1, "A"): "a1"}, episodes=1, seed=0)
+
+
+class TestUnknownSuccessor:
+    @pytest.mark.parametrize("solve", [
+        exact_dp, chrono_solve, lambda p: stochastic_dp(p, rollouts=5, seed=0),
+    ])
+    @pytest.mark.parametrize("nxt", [{"Z": 1.0}, {"B": 0.5, "Z": 0.5}])
+    def test_every_solver_names_it(self, solve, nxt):
+        tables = json.loads(json.dumps(GD1_TABLES))
+        tables["actions"]["1"]["A"][1]["next"] = nxt
+        with pytest.raises(DdsError, match="stage 1 names 'Z', which is not a stage 2 state"):
+            solve(DdsProblem.from_tables(tables))
 
 
 class TestChronoSolve:

@@ -1,9 +1,13 @@
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from cogpat.relalg import (
+    MU,
+    X_SLOT,
     Carriers,
     CarrierMismatchError,
     FinRel,
@@ -21,6 +25,7 @@ from cogpat.relalg import (
     list_functor,
     meet,
     monotone_check,
+    random_dp_instance,
     random_functional,
     random_preorder,
     random_relation,
@@ -403,3 +408,177 @@ class TestHelpers:
             carriers, f, s, r = greedy_instance(seed)
             ok, ce = monotone_check(s, r, f, carriers)
             assert ok, ce
+
+
+# ---------------------------------------------------------------------------
+# Fast paths against the straightforward code they replace
+
+def kleene_mu(f, carriers):
+    seen = set()
+    for _ in range(f.depth):
+        seen |= f.apply(carriers, seen)
+    return frozenset(seen)
+
+
+def kleene_fold(s, f, carriers):
+    """The fold as a Kleene fixpoint: whole rounds over muF from empty."""
+    s_by_in = {}
+    for fin, out in s.pairs:
+        s_by_in.setdefault(fin, []).append(out)
+    pairs = set()
+    while True:
+        x_out = {}
+        for m, v in pairs:
+            x_out.setdefault(m, []).append(v)
+        new = set()
+        for m in kleene_mu(f, carriers):
+            pools = [x_out.get(v, ()) if slot == X_SLOT else (v,)
+                     for v, slot in zip(m[1:], f.summands[m[0]])]
+            for combo in itertools.product(*pools):
+                new.update((m, out) for out in s_by_in.get((m[0], *combo), ()))
+        if new == pairs:
+            return FinRel(MU, s.tgt, frozenset(pairs))
+        pairs = new
+
+
+def plain_compose(r1, r2):
+    return FinRel(r1.src, r2.tgt, frozenset(
+        (x, z) for x, y in r1.pairs for y2, z in r2.pairs if y == y2))
+
+
+def plain_shrink(s, r):
+    return FinRel(s.src, s.tgt, frozenset(
+        (a, b) for a, b in s.pairs
+        if all((b, c) in r.pairs for a2, c in s.pairs if a2 == a)))
+
+
+def plain_lift(f, carriers, r):
+    out = set()
+    for i, slots in enumerate(f.summands):
+        pools = [sorted(r.pairs, key=repr) if slot == X_SLOT
+                 else [(v, v) for v in carriers.get(slot[1])] for slot in slots]
+        for combo in itertools.product(*pools):
+            out.add(((i, *(a for a, _ in combo)), (i, *(b for _, b in combo))))
+    return FinRel(fname(r.src), fname(r.tgt), frozenset(out))
+
+
+def plain_closure(r):
+    pairs = set(r.pairs)
+    while True:
+        extra = {(x, z) for x, y in pairs for y2, z in pairs if y == y2} - pairs
+        if not extra:
+            return FinRel(r.src, r.tgt, frozenset(pairs))
+        pairs |= extra
+
+
+def capped_lfp(s, t, r, f, carriers, cap):
+    """lfp_dp's iteration run to convergence or to the cap, step by step."""
+    x = empty(t.tgt, s.tgt)
+    for k in range(cap):
+        x2 = plain_shrink(plain_compose(plain_compose(converse(t), plain_lift(f, carriers, x)), s), r)
+        if x2.pairs == x.pairs:
+            return x2, k + 1, True
+        x = x2
+    return x, cap, False
+
+
+CONSTS = {"A": [1, 2], "K": ["k"]}
+CONST_SLOT = st.sampled_from([("const", "A"), ("const", "K")])
+# a base summand with no recursion slot, then 1-2 with one or two
+RECURSIVE_SUMMAND = st.tuples(
+    st.lists(CONST_SLOT, max_size=1), st.integers(1, 2), st.randoms(use_true_random=False),
+).map(lambda d: tuple(d[2].sample(d[0] + [X_SLOT] * d[1], len(d[0]) + d[1])))
+
+
+def mu_size(summands, depth):
+    size = 0
+    for _ in range(depth):
+        size = sum(math.prod(size if sl == X_SLOT else len(CONSTS[sl[1]]) for sl in slots)
+                   for slots in summands)
+    return size
+
+
+@st.composite
+def functor_instances(draw):
+    base = tuple(draw(st.lists(CONST_SLOT, max_size=2)))
+    summands = (base, *draw(st.lists(RECURSIVE_SUMMAND, min_size=1, max_size=2)))
+    depth = draw(st.integers(1, 4))
+    assume(mu_size(summands, depth) <= 150)
+    carriers = Carriers(dict(CONSTS, B=list(range(draw(st.integers(1, 3))))))
+    f = FunctorSpec(summands, depth)
+    register_functor_carriers(carriers, f, "B")
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    s = random_relation(rng, carriers, fname("B"), "B", draw(st.floats(0.3, 1.0)))
+    return carriers, f, s
+
+
+# the seeds in 595220-595759 whose lfp_dp iteration does not stabilize
+NONCONVERGING = [
+    595225, 595244, 595245, 595263, 595269, 595287, 595293, 595298, 595338,
+    595388, 595404, 595414, 595430, 595437, 595440, 595441, 595452, 595475,
+    595481, 595491, 595520, 595543, 595551, 595570, 595598, 595612, 595664,
+    595665, 595668, 595675, 595702, 595709, 595735, 595736,
+]
+PROPERTY = settings(max_examples=100, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+
+
+def _dp_args(seed):
+    carriers, f, s, t, r = random_dp_instance(seed)
+    return s, t, r, f, carriers
+
+
+class TestFastPathOracles:
+    @PROPERTY
+    @given(functor_instances())
+    def test_rel_fold_is_the_kleene_fixpoint(self, instance):
+        carriers, f, s = instance
+        assert f.mu(carriers) == kleene_mu(f, carriers)
+        assert carriers.get(MU) == tuple(sorted(kleene_mu(f, carriers), key=repr))
+        assert rel_fold(s, f, carriers) == kleene_fold(s, f, carriers)
+
+    @PROPERTY
+    @given(functor_instances(), st.floats(0.0, 1.0), st.integers(0, 2**32))
+    def test_lift_compose_shrink_closure(self, instance, density, seed):
+        carriers, f, s = instance
+        rng = random.Random(seed)
+        r = random_relation(rng, carriers, "B", "B", density)
+        assert f.lift(carriers, r) == plain_lift(f, carriers, r)
+        lifted = f.lift(carriers, r)
+        assert compose(lifted, s) == plain_compose(lifted, s)
+        assert shrink(s, r) == plain_shrink(s, r)
+        assert transitive_closure(r) == plain_closure(r)
+
+    def test_nonconverging_seeds(self):
+        found = [seed for seed in range(595220, 595760)
+                 if not lfp_dp(*_dp_args(seed)).converged]
+        assert found == NONCONVERGING
+
+    @PROPERTY
+    @given(st.one_of(st.sampled_from(NONCONVERGING), st.integers(595220, 595759)),
+           st.integers(0, 12))
+    def test_lfp_dp_matches_the_capped_loop(self, seed, cap):
+        s, t, r, f, carriers = _dp_args(seed)
+        res = lfp_dp(s, t, r, f, carriers, cap)
+        assert (res.rel, res.iterations, res.converged) == capped_lfp(s, t, r, f, carriers, cap)
+
+
+class TestLaws:
+    @PROPERTY
+    @given(st.integers(0, 2**32), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_residual_galois_connection(self, seed, dr, ds, dx):
+        rng = random.Random(seed)
+        r = random_relation(rng, ABC, "A", "C", dr)
+        s = random_relation(rng, ABC, "B", "C", ds)
+        x = random_relation(rng, ABC, "A", "B", dx)
+        assert subset(compose(x, s), r) == subset(x, residual(ABC, r, s))
+
+    @PROPERTY
+    @given(st.integers(0, 2**32), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_shrink_universal_property(self, seed, ds, dr, dx):
+        rng = random.Random(seed)
+        s = random_relation(rng, ABC, "A", "B", ds)
+        r = random_relation(rng, ABC, "B", "B", dr)
+        x = random_relation(rng, ABC, "A", "B", dx)
+        assert subset(x, shrink(s, r)) == (
+            subset(x, s) and subset(compose(converse(x), s), r))
