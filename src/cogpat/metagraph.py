@@ -1,10 +1,11 @@
 """Typed metagraph storage.
 
-Atoms are nodes or edges; edge targets are ordered and may reference both
-nodes and other edges.  A metagraph may carry declared dangling target
-slots, which are bound to concrete atoms by `join`.  Mutation is
-single-writer and bumps a version counter; `snapshot` hands out immutable
-views that higher layers fold over.
+Atoms are immutable tuples, nodes or edges; edge targets are ordered and
+may reference both nodes and other edges.  A metagraph may carry declared
+dangling target slots, which are bound to concrete atoms by `join`.
+Mutation is single-writer and bumps a version counter; `snapshot` hands out
+immutable views that higher layers fold over.  `from_dict`, `join`,
+`submetagraph` and the unfolds build through one bulk copy path.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, Mapping, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional
 
 
 class MgError(Exception):
@@ -105,25 +106,28 @@ NODE = "node"
 EDGE = "edge"
 
 
-@dataclass(frozen=True)
-class Atom:
-    id: int
-    kind: str
-    type_label: str
-    targets: tuple[int, ...] = ()
-    tv: Optional[TruthValue] = None
-    sti: float = 0.0
-    lti: float = 0.0
+_tuple_new = tuple.__new__
+_AtomFields = NamedTuple("_AtomFields", [
+    ("id", int), ("kind", str), ("type_label", str), ("targets", tuple[int, ...]),
+    ("tv", Optional[TruthValue]), ("sti", float), ("lti", float)])
 
-    def __post_init__(self) -> None:
-        if self.kind == NODE:
-            if self.targets:
+
+class Atom(_AtomFields):
+    """An immutable node or edge; it hashes and compares as its field tuple.
+    `_replace` and the bulk copy path skip the kind/targets check."""
+
+    __slots__ = ()
+
+    def __new__(cls, id, kind, type_label, targets=(), tv=None, sti=0.0, lti=0.0):
+        if kind == NODE:
+            if targets:
                 raise ValueError("node atoms cannot have targets")
-        elif self.kind == EDGE:
-            if not self.targets:
+        elif kind == EDGE:
+            if not targets:
                 raise ValueError("edge atoms need at least one target")
         else:
-            raise ValueError(f"unknown atom kind: {self.kind}")
+            raise ValueError(f"unknown atom kind: {kind}")
+        return _tuple_new(cls, (id, kind, type_label, targets, tv, sti, lti))
 
     @property
     def is_node(self) -> bool:
@@ -144,6 +148,13 @@ def slot_ref(slot: int) -> int:
 def ref_slot(target: int) -> int:
     """Decode a negative target id back to its slot index."""
     return -target - 1
+
+
+def _entry_id(entry: Mapping[str, Any]) -> int:
+    """A serialized atom's id; a negative one would read as a slot."""
+    if type(entry["id"]) is not int or entry["id"] < 0:
+        raise MgIntegrityError(f"atom id {entry['id']!r} is not a non-negative integer")
+    return entry["id"]
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +280,11 @@ class TypedMetagraph(_MgBase):
         return self.add_atom(EDGE, type_label, targets, **kw)
 
     def set_tv(self, atom_id: int, tv: TruthValue) -> None:
-        self.atoms[atom_id] = replace(self.atoms[atom_id], tv=tv)
+        self.atoms[atom_id] = self.atoms[atom_id]._replace(tv=tv)
         self._bump()
 
     def set_sti(self, atom_id: int, sti: float) -> None:
-        self.atoms[atom_id] = replace(self.atoms[atom_id], sti=sti)
+        self.atoms[atom_id] = self.atoms[atom_id]._replace(sti=sti)
         self._bump()
 
     # -- views --------------------------------------------------------------
@@ -291,28 +302,29 @@ class TypedMetagraph(_MgBase):
 
     @staticmethod
     def from_dict(d: Mapping[str, Any]) -> "TypedMetagraph":
+        """Load in one pass over ascending ids, keeping each atom's id; a
+        target must be a lower id or a declared slot, as `add_atom` asks."""
         mg = TypedMetagraph()
-        for slot in d.get("dangling", ()):
-            mg.declare_dangling(slot["type"])
-        entries = sorted(d.get("atoms", ()), key=lambda e: e["id"])
-        for prev, e in zip(entries, entries[1:]):
-            if prev["id"] == e["id"]:
-                raise MgIntegrityError(f"duplicate atom id {e['id']}")
-        for e in entries:
+        mg.dangling = tuple(DanglingSlot(k, s["type"]) for k, s in enumerate(d.get("dangling", ())))
+        n_slots, atoms, last = len(mg.dangling), mg.atoms, -1
+        for e in sorted(d.get("atoms", ()), key=_entry_id):
+            i = e["id"]
+            if i == last:
+                raise MgIntegrityError(f"duplicate atom id {i}")
             tv = TruthValue.from_dict(e["tv"]) if "tv" in e else None
-            atom_id = mg.add_atom(
-                e["kind"],
-                e["type"],
-                tuple(e.get("targets", ())),
-                tv,
-                e.get("sti", 0.0),
-                e.get("lti", 0.0),
-            )
-            if atom_id != e["id"]:
-                # preserve original ids so round trips are lossless
-                atom = mg.atoms.pop(atom_id)
-                mg.atoms[e["id"]] = replace(atom, id=e["id"])
-                mg._next_id = max(mg._next_id, e["id"] + 1)
+            targets = tuple(e.get("targets", ()))
+            for t in targets:
+                if type(t) is not int:
+                    raise MgIntegrityError(f"target {t!r} is not an integer")
+                if t >= 0:
+                    if t not in atoms:
+                        raise MgIntegrityError(f"target {t} not present")
+                elif ref_slot(t) >= n_slots:
+                    raise MgIntegrityError(f"dangling slot {ref_slot(t)} not declared")
+            atoms[i] = Atom(i, e["kind"], e["type"], targets, tv, e.get("sti", 0.0), e.get("lti", 0.0))
+            last = i
+        mg._next_id = last + 1
+        mg.version = 1 if atoms or n_slots else 0
         return mg
 
     @staticmethod
@@ -385,39 +397,14 @@ def join(
 
     out = TypedMetagraph()
     # new slot layout: unbound m1 slots first, then every m2 slot
-    slot_map_m1: dict[int, int] = {}
-    for d in m1.dangling:
-        if d.slot not in binding:
-            slot_map_m1[d.slot] = out.declare_dangling(d.type_label)
-    slot_map_m2: dict[int, int] = {}
-    for d in m2.dangling:
-        slot_map_m2[d.slot] = out.declare_dangling(d.type_label)
-
-    id_map_m2: dict[int, int] = {}
-    for old_id in sorted(m2.atoms):
-        a = m2.atoms[old_id]
-        targets = tuple(
-            id_map_m2[t] if t >= 0 else slot_ref(slot_map_m2[ref_slot(t)])
-            for t in a.targets
-        )
-        id_map_m2[old_id] = out.add_atom(a.kind, a.type_label, targets, a.tv, a.sti, a.lti)
-
-    id_map_m1: dict[int, int] = {}
-    for old_id in sorted(m1.atoms):
-        a = m1.atoms[old_id]
-        targets = []
-        for t in a.targets:
-            if t >= 0:
-                targets.append(id_map_m1[t])
-            else:
-                slot = ref_slot(t)
-                if slot in binding:
-                    targets.append(id_map_m2[binding[slot]])
-                else:
-                    targets.append(slot_ref(slot_map_m1[slot]))
-        id_map_m1[old_id] = out.add_atom(
-            a.kind, a.type_label, tuple(targets), a.tv, a.sti, a.lti
-        )
+    unbound = [d for d in m1.dangling if d.slot not in binding]
+    out.dangling = tuple(DanglingSlot(k, d.type_label)
+                         for k, d in enumerate(unbound + list(m2.dangling)))
+    remap2 = {slot_ref(d.slot): slot_ref(k) for k, d in enumerate(m2.dangling, len(unbound))}
+    _copy_atoms(out, [m2.atoms[i] for i in sorted(m2.atoms)], remap2)
+    remap1 = {slot_ref(d.slot): slot_ref(k) for k, d in enumerate(unbound)}
+    remap1.update((slot_ref(slot), remap2[atom_id]) for slot, atom_id in binding.items())
+    _copy_atoms(out, [m1.atoms[i] for i in sorted(m1.atoms)], remap1)
     return out
 
 
@@ -432,30 +419,42 @@ def submetagraph(mg: _MgBase, atom_ids: Iterable[int]) -> TypedMetagraph:
         if i not in mg.atoms:
             raise MgIntegrityError(f"atom {i} not present")
     out = TypedMetagraph()
-    id_map: dict[int, int] = {}
-    slot_for: dict[int, int] = {}
-    # nodes-before-edges insertion so edge targets resolve
-    ordered = [i for i in keep if mg.atoms[i].is_node] + [
-        i for i in keep if not mg.atoms[i].is_node
-    ]
-    for old_id in ordered:
-        a = mg.atoms[old_id]
-        targets = []
-        for t in a.targets:
-            if t in id_map:
-                targets.append(id_map[t])
-            elif t >= 0:
-                if t not in slot_for:
-                    slot_for[t] = out.declare_dangling(mg.atoms[t].type_label)
-                targets.append(slot_ref(slot_for[t]))
-            else:
-                label = mg.dangling[ref_slot(t)].type_label
-                key = t
-                if key not in slot_for:
-                    slot_for[key] = out.declare_dangling(label)
-                targets.append(slot_ref(slot_for[key]))
-        id_map[old_id] = out.add_atom(a.kind, a.type_label, tuple(targets), a.tv, a.sti, a.lti)
+    atoms = [mg.atoms[i] for i in keep]
+    # nodes before edges, so edge targets resolve
+    _copy_atoms(out, [a for a in atoms if a.is_node] + [a for a in atoms if not a.is_node], {},
+                lambda t: (mg.atoms[t] if t >= 0 else mg.dangling[ref_slot(t)]).type_label)
     return out
+
+
+def _copy_atoms(out: TypedMetagraph, atoms: list[Atom], remap: dict[int, int],
+                new_slot: Optional[Callable[[int], str]] = None) -> range:
+    """Append copies of `atoms` to `out` under fresh ids, in order; return
+    the new ids.  Target t becomes remap[t], or if remap lacks it a fresh
+    slot typed new_slot(t) (which may raise).  Each atom's old id then maps
+    to its copy's.  Slots are declared, and the version bumped, once."""
+    base, labels = len(out.dangling), []
+    store, first = out.atoms, out._next_id
+    new_id = first
+    try:
+        for a in atoms:
+            try:
+                targets = tuple([remap[t] for t in a.targets])
+            except KeyError:
+                for t in a.targets:
+                    if t not in remap:
+                        label = new_slot(t)
+                        remap[t] = slot_ref(base + len(labels))
+                        labels.append(label)
+                targets = tuple([remap[t] for t in a.targets])
+            store[new_id] = _tuple_new(Atom, (new_id, a.kind, a.type_label, targets, a.tv, a.sti, a.lti))
+            remap[a.id] = new_id
+            new_id += 1
+    finally:
+        if labels:
+            out.dangling += tuple(DanglingSlot(base + k, label) for k, label in enumerate(labels))
+        out._next_id = new_id
+        out._bump()
+    return range(first, new_id)
 
 
 # ---------------------------------------------------------------------------

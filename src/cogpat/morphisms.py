@@ -20,6 +20,7 @@ from .metagraph import (
     MgView,
     StaleSnapshotError,
     TypedMetagraph,
+    _copy_atoms,
     as_view,
     ref_slot,
     slot_ref,
@@ -146,8 +147,19 @@ def run_steps(run: MorphRun, k: int) -> str:
 
 
 def complete(run: MorphRun) -> Any:
-    while run.status not in ("done", "stale"):
-        run.step()
+    """Run to the end, as repeated `step()` calls would, in one local loop."""
+    if run.status == "paused":
+        gen, frames, view = run._gen, run.frames_done, run.view
+        origin, stamp = (None, None) if view is None else (view._origin, view.stamp)
+        try:
+            while origin is None or origin.version == stamp:
+                next(gen)
+                frames += 1
+            run.status = "stale"
+        except StopIteration as st:
+            run.value, run.status = st.value, "done"
+        finally:
+            run.frames_done = frames
     if run.status == "stale":
         raise StaleSnapshotError("snapshot changed during run")
     return run.value
@@ -213,37 +225,22 @@ def histo_fold(view, algebra: Algebra, order="insertion"):
 # Unfold / futu
 
 
-def _emit_piece(acc: TypedMetagraph, piece, port: Optional[int]) -> list[int]:
+def _emit_piece(acc: TypedMetagraph, piece, port: Optional[int]) -> range:
     """Copy `piece` atoms into `acc`; dangling slots bind to `port`."""
-    id_map: dict[int, int] = {}
-    slot_map: dict[int, int] = {}
-    new_ids: list[int] = []
-    for old_id in sorted(piece.atoms):
-        a = piece.atoms[old_id]
-        targets = []
-        for t in a.targets:
-            if t >= 0:
-                if t not in id_map:
-                    raise UnfoldError(f"piece target {t} emitted out of order", acc)
-                targets.append(id_map[t])
-            else:
-                slot = ref_slot(t)
-                label = piece.dangling[slot].type_label
-                if port is not None:
-                    if acc.atoms[port].type_label != label:
-                        raise UnfoldError(
-                            f"port type {acc.atoms[port].type_label!r} != slot type {label!r}",
-                            acc,
-                        )
-                    targets.append(port)
-                else:
-                    if slot not in slot_map:
-                        slot_map[slot] = acc.declare_dangling(label)
-                    targets.append(slot_ref(slot_map[slot]))
-        new_id = acc.add_atom(a.kind, a.type_label, tuple(targets), a.tv, a.sti, a.lti)
-        id_map[old_id] = new_id
-        new_ids.append(new_id)
-    return new_ids
+    remap: dict[int, int] = {}
+    if port is not None:
+        port_label = acc.atoms[port].type_label
+        remap = {slot_ref(d.slot): port for d in piece.dangling if d.type_label == port_label}
+
+    def new_slot(t: int) -> str:
+        if t >= 0:
+            raise UnfoldError(f"piece target {t} emitted out of order", acc)
+        label = piece.dangling[ref_slot(t)].type_label
+        if port is not None:
+            raise UnfoldError(f"port type {port_label!r} != slot type {label!r}", acc)
+        return label
+
+    return _copy_atoms(acc, [piece.atoms[i] for i in sorted(piece.atoms)], remap, new_slot)
 
 
 def futu_unfold_run(seed, coalg: Coalgebra, budget: int) -> MorphRun:

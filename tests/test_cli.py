@@ -196,6 +196,21 @@ class TestExitCodes:
         assert f"error: --instances must be >= 1, got {n}" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("field, bad, message", [
+        ("id", -1, "atom id -1 is not a non-negative integer"),
+        ("id", 1.5, "atom id 1.5 is not a non-negative integer"),
+        ("targets", [0.0, 1], "target 0.0 is not an integer"),
+    ])
+    def test_mine_rejects_malformed_ids(self, tmp_path, field, bad, message, capsys):
+        data = json.loads((FIXTURES / "kb_social.json").read_text())
+        next(a for a in data["atoms"] if a["kind"] == "edge")[field] = bad
+        path = tmp_path / "kb.json"
+        path.write_text(json.dumps(data))
+        assert run("cog", "mine", "--fixture", path, "--budget", 2, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "kb.json: malformed metagraph" in err and message in err
+        assert not (tmp_path / "out").exists()
+
     def test_failed_audit_is_exit_one(self, tmp_path):
         assert run("subpattern", "audit", "--fixture",
                    FIXTURES / "subpattern_maxmin.json", "--out", tmp_path) == 1

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from cogpat.metagraph import (
     EDGE,
     NODE,
+    Atom,
     BindingError,
     EmptySupportError,
     CanonicalizationError,
@@ -17,6 +18,7 @@ from cogpat.metagraph import (
     TypedMetagraph,
     canonical_form,
     join,
+    ref_slot,
     sample_atoms,
     slot_ref,
     submetagraph,
@@ -411,3 +413,243 @@ class TestJsonRoundTrip:
         back = TypedMetagraph.from_json(text)
         assert back.to_json() == text
         assert canonical_form(back) == canonical_form(mg)
+
+
+class TestLoadRejectsBadIds:
+    """An id must be a non-negative int (a negative one reads as a slot
+    reference, and 1.5, True and 0.0 would alias or break integer ids)."""
+
+    @pytest.mark.parametrize("bad", [-1, -7, 1.5, True, "3", None])
+    def test_atom_id(self, bad):
+        atoms = [{"id": bad, "kind": "node", "type": "A"}]
+        with pytest.raises(MgIntegrityError, match="is not a non-negative integer"):
+            TypedMetagraph.from_dict({"atoms": atoms})
+
+    def test_string_id_among_ints(self):
+        atoms = [{"id": 0, "kind": "node", "type": "A"}, {"id": "3", "kind": "node", "type": "A"}]
+        with pytest.raises(MgIntegrityError, match="atom id '3' is not a non-negative integer"):
+            TypedMetagraph.from_dict({"atoms": atoms})
+
+    def test_negative_id_beside_slot_zero(self):
+        d = {"atoms": [{"id": -1, "kind": "node", "type": "A"},
+                       {"id": 0, "kind": "edge", "type": "E", "targets": [-1]}],
+             "dangling": [{"slot": 0, "type": "A"}]}
+        with pytest.raises(MgIntegrityError, match="atom id -1"):
+            TypedMetagraph.from_dict(d)
+
+    @pytest.mark.parametrize("bad", [0.0, True, "0"])
+    def test_target(self, bad):
+        atoms = [{"id": 0, "kind": "node", "type": "A"},
+                 {"id": 1, "kind": "edge", "type": "E", "targets": [bad]}]
+        with pytest.raises(MgIntegrityError, match="is not an integer"):
+            TypedMetagraph.from_dict({"atoms": atoms})
+
+    def test_other_checks_kept(self):
+        node = {"id": 0, "kind": "node", "type": "A"}
+        with pytest.raises(MgIntegrityError, match="target 5 not present"):
+            TypedMetagraph.from_dict({"atoms": [node, {"id": 1, "kind": "edge", "type": "E",
+                                                       "targets": [5]}]})
+        with pytest.raises(MgIntegrityError, match="target 1 not present"):  # a later id
+            TypedMetagraph.from_dict({"atoms": [{"id": 0, "kind": "edge", "type": "E",
+                                                 "targets": [1]}, dict(node, id=1)]})
+        with pytest.raises(MgIntegrityError, match="dangling slot 0 not declared"):
+            TypedMetagraph.from_dict({"atoms": [{"id": 0, "kind": "edge", "type": "E",
+                                                 "targets": [-1]}]})
+        with pytest.raises(ValueError, match="unknown atom kind"):
+            TypedMetagraph.from_dict({"atoms": [dict(node, kind="blob")]})
+
+    def test_gappy_ids_kept(self):
+        mg = TypedMetagraph.from_dict({"atoms": [
+            {"id": 9, "kind": "edge", "type": "E", "targets": [3, 7]},
+            {"id": 7, "kind": "node", "type": "B"},
+            {"id": 3, "kind": "node", "type": "A"}]})
+        assert mg.atom_ids() == [3, 7, 9] and mg._next_id == 10
+        assert mg.add_node("C") == 10
+
+
+class TestAtomImmutability:
+    def test_fields_cannot_be_assigned(self):
+        a = Atom(0, NODE, "A")
+        for field in ("id", "kind", "type_label", "targets", "tv", "sti", "lti"):
+            with pytest.raises(AttributeError):
+                setattr(a, field, 1)
+        with pytest.raises(AttributeError):
+            a.extra = 1
+
+    def test_set_tv_and_sti_leave_snapshots_alone(self):
+        mg = TypedMetagraph()
+        n = mg.add_node("A", sti=1.0)
+        e = mg.add_edge("E", [n])
+        view = mg.snapshot()
+        before = (view.atom(n), view.atom(e))
+        mg.set_sti(n, 5.0)
+        mg.set_tv(e, TruthValue(0.9, 0.5))
+        assert (view.atom(n), view.atom(e)) == before
+        assert view.atom(n).sti == 1.0 and view.atom(e).tv is None
+        assert mg.atom(n).sti == 5.0 and mg.atom(e).tv == TruthValue(0.9, 0.5)
+        assert mg.atom(n) == before[0]._replace(sti=5.0)
+
+    def test_kind_and_targets_checked(self):
+        with pytest.raises(ValueError, match="node atoms cannot have targets"):
+            Atom(0, NODE, "A", (1,))
+        with pytest.raises(ValueError, match="edge atoms need at least one target"):
+            Atom(0, EDGE, "E")
+        with pytest.raises(ValueError, match="unknown atom kind"):
+            Atom(0, "hyperedge", "H", (1,))
+
+    def test_fields_defaults_repr_and_hash(self):
+        a = Atom(3, EDGE, "E", (1, -1), TruthValue(0.5, 0.5))
+        assert (a.id, a.kind, a.type_label, a.targets, a.sti, a.lti) == (3, EDGE, "E", (1, -1), 0.0, 0.0)
+        assert not a.is_node and Atom(0, NODE, "A").is_node
+        assert repr(Atom(0, NODE, "A")) == (
+            "Atom(id=0, kind='node', type_label='A', targets=(), tv=None, sti=0.0, lti=0.0)")
+        assert hash(a) == hash((3, EDGE, "E", (1, -1), TruthValue(0.5, 0.5), 0.0, 0.0))
+        assert a == Atom(3, EDGE, "E", (1, -1), TruthValue(0.5, 0.5), 0.0, 0.0)
+
+
+# -- the bulk builders against add_atom-per-atom references ------------------
+
+
+def ref_from_dict(d):
+    """`from_dict` as one `add_atom` per atom, re-keyed to the stored id."""
+    mg = TypedMetagraph()
+    for slot in d.get("dangling", ()):
+        mg.declare_dangling(slot["type"])
+    for e in sorted(d.get("atoms", ()), key=lambda e: e["id"]):
+        tv = TruthValue.from_dict(e["tv"]) if "tv" in e else None
+        atom_id = mg.add_atom(e["kind"], e["type"], tuple(e.get("targets", ())), tv,
+                              e.get("sti", 0.0), e.get("lti", 0.0))
+        if atom_id != e["id"]:
+            mg.atoms[e["id"]] = mg.atoms.pop(atom_id)._replace(id=e["id"])
+            mg._next_id = max(mg._next_id, e["id"] + 1)
+    return mg
+
+
+def _add_copy(out, a, targets):
+    return out.add_atom(a.kind, a.type_label, tuple(targets), a.tv, a.sti, a.lti)
+
+
+def ref_join(m1, m2, binding):
+    out = TypedMetagraph()
+    slot_map_m1 = {d.slot: out.declare_dangling(d.type_label)
+                   for d in m1.dangling if d.slot not in binding}
+    slot_map_m2 = {d.slot: out.declare_dangling(d.type_label) for d in m2.dangling}
+    id_map_m2, id_map_m1 = {}, {}
+    for old_id in sorted(m2.atoms):
+        a = m2.atoms[old_id]
+        id_map_m2[old_id] = _add_copy(out, a, [
+            id_map_m2[t] if t >= 0 else slot_ref(slot_map_m2[ref_slot(t)]) for t in a.targets])
+    for old_id in sorted(m1.atoms):
+        a = m1.atoms[old_id]
+        targets = []
+        for t in a.targets:
+            if t >= 0:
+                targets.append(id_map_m1[t])
+            elif ref_slot(t) in binding:
+                targets.append(id_map_m2[binding[ref_slot(t)]])
+            else:
+                targets.append(slot_ref(slot_map_m1[ref_slot(t)]))
+        id_map_m1[old_id] = _add_copy(out, a, targets)
+    return out
+
+
+def ref_submetagraph(mg, atom_ids):
+    keep = sorted(set(atom_ids))
+    out = TypedMetagraph()
+    id_map, slot_for = {}, {}
+    for old_id in [i for i in keep if mg.atoms[i].is_node] + [
+            i for i in keep if not mg.atoms[i].is_node]:
+        a = mg.atoms[old_id]
+        targets = []
+        for t in a.targets:
+            if t in id_map:
+                targets.append(id_map[t])
+                continue
+            if t not in slot_for:
+                label = (mg.atoms[t] if t >= 0 else mg.dangling[ref_slot(t)]).type_label
+                slot_for[t] = out.declare_dangling(label)
+            targets.append(slot_ref(slot_for[t]))
+        id_map[old_id] = _add_copy(out, a, targets)
+    return out
+
+
+def assert_same_store(got, want):
+    assert got.atoms == want.atoms
+    assert list(got.atoms) == list(want.atoms)
+    assert all(type(a) is Atom for a in got.atoms.values())
+    assert got.dangling == want.dangling
+    assert got._next_id == want._next_id
+    assert got.to_json() == want.to_json()
+    if got.atoms or got.dangling:
+        assert got.version > 0
+
+
+LABELS = ("A", "B")
+
+
+@st.composite
+def metagraphs(draw, max_atoms=14):
+    """A store grown by `add_atom`: edges on nodes, edges and declared slots,
+    some truth values and importances."""
+    mg = TypedMetagraph()
+    for _ in range(draw(st.integers(0, 3))):
+        mg.declare_dangling(draw(st.sampled_from(LABELS)))
+    for _ in range(draw(st.integers(1, max_atoms))):
+        refs = sorted(mg.atoms) + [slot_ref(s) for s in range(len(mg.dangling))]
+        tv = draw(st.none() | st.builds(TruthValue, st.sampled_from([0.0, 0.25, 1.0]),
+                                        st.sampled_from([0.0, 0.5])))
+        sti = draw(st.sampled_from([0.0, 1.5]))
+        if refs and draw(st.booleans()):
+            targets = draw(st.lists(st.sampled_from(refs), min_size=1, max_size=3))
+            mg.add_edge(draw(st.sampled_from(LABELS)), targets, tv=tv, sti=sti)
+        else:
+            mg.add_node(draw(st.sampled_from(LABELS)), tv=tv, sti=sti)
+    return mg
+
+
+def relabeled(d, rng):
+    """The same atoms under increasing ids with gaps, listed shuffled."""
+    ids = sorted(a["id"] for a in d["atoms"])
+    new, nxt = {}, 0
+    for i in ids:
+        nxt += rng.choice((0, 0, 1, 5))
+        new[i] = nxt
+        nxt += 1
+    atoms = []
+    for a in d["atoms"]:
+        b = dict(a, id=new[a["id"]])
+        if "targets" in a:
+            b["targets"] = [new[t] if t >= 0 else t for t in a["targets"]]
+        atoms.append(b)
+    rng.shuffle(atoms)
+    return dict(d, atoms=atoms)
+
+
+class TestBulkBuildersMatchAddAtom:
+    @settings(max_examples=60, deadline=None)
+    @given(mg=metagraphs(), seed=st.integers(0, 2**16))
+    def test_from_dict(self, mg, seed):
+        d = relabeled(mg.to_dict(), random.Random(seed))
+        assert_same_store(TypedMetagraph.from_dict(d), ref_from_dict(d))
+        assert_same_store(TypedMetagraph.from_dict(mg.to_dict()), mg)
+
+    @settings(max_examples=60, deadline=None)
+    @given(mg=metagraphs(), data=st.data())
+    def test_submetagraph(self, mg, data):
+        keep = data.draw(st.sets(st.sampled_from(sorted(mg.atoms))))
+        for source in (mg, mg.snapshot()):
+            assert_same_store(submetagraph(source, keep), ref_submetagraph(mg, keep))
+
+    @settings(max_examples=60, deadline=None)
+    @given(m1=metagraphs(max_atoms=8), m2=metagraphs(max_atoms=8), data=st.data())
+    def test_join(self, m1, m2, data):
+        rng = random.Random(data.draw(st.integers(0, 2**16)))
+        m1, m2 = (TypedMetagraph.from_dict(relabeled(m.to_dict(), rng)) for m in (m1, m2))
+        binding = {}
+        for d in m1.dangling:
+            fits = [i for i, a in m2.atoms.items() if a.type_label == d.type_label]
+            if fits and data.draw(st.booleans()):
+                binding[d.slot] = data.draw(st.sampled_from(fits))
+        m1_json, m2_json = m1.to_json(), m2.to_json()
+        assert_same_store(join(m1, m2.snapshot(), binding), ref_join(m1, m2, binding))
+        assert (m1.to_json(), m2.to_json()) == (m1_json, m2_json)

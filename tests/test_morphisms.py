@@ -1,14 +1,18 @@
 import itertools
 import operator
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cogpat import morphisms
 from cogpat.metagraph import (
     StaleSnapshotError,
     TruthValue,
     TypedMetagraph,
     canonical_form,
+    ref_slot,
     slot_ref,
 )
 from cogpat.morphisms import (
@@ -17,6 +21,7 @@ from cogpat.morphisms import (
     Coalgebra,
     Ctx,
     Expansion,
+    UnfoldError,
     audit_associativity,
     chrono,
     chrono_run,
@@ -24,7 +29,9 @@ from cogpat.morphisms import (
     fold,
     fold_run,
     futu_unfold,
+    futu_unfold_run,
     histo_fold,
+    histo_fold_run,
     memo_recurse,
     order_atoms,
     run_steps,
@@ -379,3 +386,209 @@ class TestOrderAtoms:
         view = mg.snapshot()
         order = order_atoms(view, "topological")
         assert order.index(a) < order.index(e) < order.index(top)
+
+
+# -- bulk emission and the local frame loop against their step-wise references
+
+
+def ref_emit_piece(acc, piece, port):
+    """`_emit_piece` as one `add_atom` (and `declare_dangling`) per atom."""
+    id_map, slot_map, new_ids = {}, {}, []
+    for old_id in sorted(piece.atoms):
+        a = piece.atoms[old_id]
+        targets = []
+        for t in a.targets:
+            if t >= 0:
+                if t not in id_map:
+                    raise UnfoldError(f"piece target {t} emitted out of order", acc)
+                targets.append(id_map[t])
+                continue
+            label = piece.dangling[ref_slot(t)].type_label
+            if port is not None:
+                if acc.atoms[port].type_label != label:
+                    raise UnfoldError(
+                        f"port type {acc.atoms[port].type_label!r} != slot type {label!r}", acc)
+                targets.append(port)
+            else:
+                if ref_slot(t) not in slot_map:
+                    slot_map[ref_slot(t)] = acc.declare_dangling(label)
+                targets.append(slot_ref(slot_map[ref_slot(t)]))
+        id_map[old_id] = acc.add_atom(a.kind, a.type_label, tuple(targets), a.tv, a.sti, a.lti)
+        new_ids.append(id_map[old_id])
+    return new_ids
+
+
+def step_to_end(run):
+    """`complete` as one `step()` per frame."""
+    while run.status not in ("done", "stale"):
+        run.step()
+    if run.status == "stale":
+        raise StaleSnapshotError("snapshot changed during run")
+    return run.value
+
+
+def same_store(a, b):
+    return (a.atoms == b.atoms and a.dangling == b.dangling and a._next_id == b._next_id
+            and a.to_json() == b.to_json())
+
+
+LABELS = ("A", "B")
+
+
+@st.composite
+def small_stores(draw, max_atoms=5, max_slots=2):
+    """A store with edges on nodes, edges and slots; sometimes its ids are
+    reversed, so an edge targets a later atom."""
+    mg = TypedMetagraph()
+    for _ in range(draw(st.integers(0, max_slots))):
+        mg.declare_dangling(draw(st.sampled_from(LABELS)))
+    for _ in range(draw(st.integers(1, max_atoms))):
+        refs = sorted(mg.atoms) + [slot_ref(s) for s in range(len(mg.dangling))]
+        label = draw(st.sampled_from(LABELS))
+        sti = draw(st.sampled_from([0.0, 1.0, 2.5]))
+        if refs and draw(st.booleans()):
+            mg.add_edge(label, draw(st.lists(st.sampled_from(refs), min_size=1, max_size=3)),
+                        sti=sti, tv=draw(st.none() | st.just(TruthValue(0.5, 0.5))))
+        else:
+            mg.add_node(label, sti=sti)
+    if len(mg) > 1 and draw(st.integers(0, 9)) == 0:
+        n = len(mg)
+        flip = {i: n - 1 - i for i in mg.atoms}
+        mg.atoms = {flip[i]: mg.atoms[i]._replace(
+            id=flip[i], targets=tuple(flip.get(t, t) for t in mg.atoms[i].targets))
+            for i in sorted(mg.atoms, reverse=True)}
+    return mg
+
+
+@st.composite
+def coalgebras(draw):
+    """Integer seeds; seed k emits some of a few pieces and has children
+    below k, bound to one of its emitted atoms or unattached."""
+    pieces = draw(st.lists(small_stores(), min_size=1, max_size=4))
+    plan = {}
+    for k in range(draw(st.integers(1, 6))):
+        emit = draw(st.lists(st.sampled_from(range(len(pieces))), max_size=3))
+        n_atoms = sum(len(pieces[j]) for j in emit)
+        ports = st.none() | st.integers(0, n_atoms - 1) if n_atoms else st.none()
+        kids = draw(st.lists(st.tuples(st.integers(0, max(k - 1, 0)), ports),
+                             max_size=3 if k else 0))
+        plan[k] = ([pieces[j] for j in emit], kids)
+    return Coalgebra(lambda k: Expansion(*plan[k])), max(plan)
+
+
+def outcome(make_run, finish):
+    """What a run leaves: its result or error, and its counters."""
+    run = make_run()
+    try:
+        finish(run)
+        result = ("value", run.value)
+    except (UnfoldError, StaleSnapshotError, IndexError) as exc:
+        partial = getattr(exc, "partial", None)
+        result = (type(exc).__name__, str(exc), partial is not None and partial.to_json())
+    return result, run.frames_done, run.memo_hits, run.status, run.truncated
+
+
+class TestBulkEmissionMatchesAddAtom:
+    @settings(max_examples=80, deadline=None)
+    @given(case=coalgebras(), budget=st.integers(0, 12))
+    def test_futu_unfold(self, case, budget):
+        coalg, root = case
+        runs = []
+        for emit in (morphisms._emit_piece, ref_emit_piece):
+            saved, morphisms._emit_piece = morphisms._emit_piece, emit
+            try:
+                runs.append(outcome(lambda: futu_unfold_run(root, coalg, budget), complete))
+            finally:
+                morphisms._emit_piece = saved
+        (got, *got_counts), (want, *want_counts) = runs
+        assert got_counts == want_counts
+        if got[0] == "value":
+            assert want[0] == "value" and same_store(got[1], want[1])
+            assert got[1].version > 0 or not got[1].atoms
+        else:
+            assert got == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(acc=small_stores(max_atoms=4), piece=small_stores(), data=st.data())
+    def test_emit_piece(self, acc, piece, data):
+        port = data.draw(st.none() | st.sampled_from(sorted(acc.atoms)))
+        got, want = acc.clone(), acc.clone()
+        view = got.snapshot()
+        try:
+            ids = list(morphisms._emit_piece(got, piece, port))
+        except UnfoldError as exc:
+            with pytest.raises(UnfoldError, match=re.escape(str(exc))):
+                ref_emit_piece(want, piece, port)
+            assert exc.partial is got
+        else:
+            assert ids == ref_emit_piece(want, piece, port)
+        assert same_store(got, want)
+        assert got.version > view.stamp and view.is_stale()
+
+
+@st.composite
+def fold_cases(draw):
+    mg = TypedMetagraph()
+    for _ in range(draw(st.integers(0, 12))):
+        if mg.atoms and draw(st.booleans()):
+            mg.add_edge("E", draw(st.lists(st.sampled_from(sorted(mg.atoms)), min_size=1,
+                                           max_size=3)), sti=draw(st.floats(0, 4)))
+        else:
+            mg.add_node(draw(st.sampled_from(LABELS)), sti=draw(st.floats(0, 4)))
+    order = draw(st.sampled_from(["insertion", ("random", 3), ("random", 8)]))
+    return (mg, order, draw(st.integers(0, 14)), draw(st.none() | st.integers(0, 14)),
+            draw(st.booleans()))
+
+
+class TestCompleteMatchesStepping:
+    @settings(max_examples=120, deadline=None)
+    @given(case=fold_cases())
+    def test_fold_and_histo(self, case):
+        mg, order, head, mutate_at, histo = case
+        results = []
+        for finish in (complete, step_to_end):
+            store = mg.clone()
+            frames = []
+
+            def combine(acc, ctx):
+                frames.append(ctx.atom.id)
+                if len(frames) == mutate_at:  # edits the origin mid-run: stale
+                    store.set_sti(ctx.atom.id, -1.0)
+                return acc + ctx.atom.sti + (len(ctx.key) if histo else 0)
+
+            algebra = Algebra(0.0, combine)
+            make = histo_fold_run if histo else fold_run
+
+            def make_run():
+                run = make(store.snapshot(), algebra, order)
+                run_steps(run, head)
+                return run
+
+            results.append((outcome(make_run, finish), frames))
+        assert results[0] == results[1]
+        (result, frames_done, _, status, _), frames = results[0]
+        assert frames_done == len(frames)
+        if mutate_at is not None and 0 < mutate_at <= len(mg):
+            assert status == "stale" and result[0] == "StaleSnapshotError"
+        else:
+            assert status == "done" and frames_done == len(mg)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(0, 60), head=st.integers(0, 20), budget=st.integers(0, 80))
+    def test_chrono(self, n, head, budget):
+        coalg = Coalgebra(lambda k: Expansion([single_node_piece(sti=float(k))],
+                                              [(k // 2, None), (k // 3, None)] if k > 1 else []))
+        results = []
+        for finish in (complete, step_to_end):
+            def make_run():
+                run = chrono_run(n, coalg, SUM, budget)
+                run_steps(run, head)
+                return run
+            results.append(outcome(make_run, finish))
+        assert results[0] == results[1]
+        assert results[0][3] == "done"
+
+    def test_completed_run_returns_its_value_again(self):
+        run = fold_run(weighted_view([1.0, 2.0]), SUM)
+        assert complete(run) == 3.0 and complete(run) == 3.0
+        assert (run.frames_done, run.status) == (2, "done")
