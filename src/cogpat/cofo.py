@@ -94,13 +94,6 @@ class CofoProblem:
 Dataset = tuple  # of (x, F(x)) pairs, insertion order kept
 
 
-def make_dataset(p: CofoProblem, pairs: Sequence) -> Dataset:
-    for x, y in pairs:
-        if p.f(x) != y:
-            raise CofoError(f"pair ({x!r}, {y!r}) disagrees with the objective")
-    return tuple(pairs)
-
-
 def extend_dataset(d: Dataset, pair) -> Dataset:
     if pair in d:
         return d
@@ -156,10 +149,6 @@ def _alive(p: CofoProblem, d: Dataset) -> list[int]:
         if not alive:
             raise InconsistencyError(pair)
     return list(alive)
-
-
-def consistent_hypotheses(p: CofoProblem, d: Dataset) -> list[Hypothesis]:
-    return [p.hypotheses[i] for i in _alive(p, d)]
 
 
 def promising_set(p: CofoProblem, d: Dataset) -> PromisingSet:

@@ -75,7 +75,6 @@ class KbModel:
 @dataclass
 class Rule:
     name: str
-    arity: int
     # instantiate(model) yields (premise keys tuple, conclusion key, tv)
     instantiate: Callable
     reversible: bool = False
@@ -96,7 +95,7 @@ def deduction_rule() -> Rule:
                     continue
                 yield ((a, b), (b, c)), (a, c), tv
 
-    return Rule("deduction", 2, instantiate)
+    return Rule("deduction", instantiate)
 
 
 def inversion_rule() -> Rule:
@@ -112,7 +111,7 @@ def inversion_rule() -> Rule:
         b, a = key
         return (a, b), inversion(tv, model.priors[b], model.priors[a])
 
-    return Rule("inversion", 1, instantiate, reversible=True, unapply=unapply)
+    return Rule("inversion", instantiate, reversible=True, unapply=unapply)
 
 
 def rule_roundtrip_audit(rule: Rule, model: KbModel) -> bool:

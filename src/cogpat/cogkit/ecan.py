@@ -20,10 +20,8 @@ class EcanResult:
 
 
 def ecan_run(view, q: float, steps: int, seed: int = 0,
-             link_weight: Optional[Callable] = None,
              utility: Optional[Callable] = None) -> EcanResult:
-    """`link_weight(edge) -> weight` biases neighbor choice;
-    `utility(step, x, y) -> reward` attributes payoff to each transfer."""
+    """`utility(step, x, y) -> reward` attributes payoff to each transfer."""
     if q <= 0:
         raise ValueError("transfer quantum must be > 0")
     view = as_view(view)
@@ -31,12 +29,11 @@ def ecan_run(view, q: float, steps: int, seed: int = 0,
     sti = {a.id: a.sti for a in view.atoms.values()}
     neighbors: dict = {i: [] for i in sti}
     for e in view.edges():
-        w = link_weight(e) if link_weight is not None else 1.0
         refs = [t for t in e.targets if t >= 0]
         for x in refs:
             for y in refs:
                 if x != y:
-                    neighbors[x].append((y, w))
+                    neighbors[x].append(y)
     rewards = []
     transfers = []
     skipped = []
@@ -51,7 +48,7 @@ def ecan_run(view, q: float, steps: int, seed: int = 0,
         if not links:
             skipped.append(step)
             continue
-        y = rng.choices([n for n, _ in links], weights=[w for _, w in links], k=1)[0]
+        y = rng.choices(links, weights=[1.0] * len(links), k=1)[0]
         sti[x] -= q
         sti[y] += q
         transfers.append((step, x, y))

@@ -43,14 +43,12 @@ def evolve(
     seed: int = 0,
     mutate: Optional[Callable] = None,
     crossover: Optional[Callable] = None,
-    crossover_prob: float = 0.5,
-    pop_cap: Optional[int] = None,
 ) -> EvolveResult:
     if not pop0:
         raise ValueError("initial population must be nonempty")
     rng = random.Random(seed)
     pop = [(tuple(g), fitness(tuple(g))) for g in pop0]
-    cap = pop_cap if pop_cap is not None else len(pop)
+    cap = len(pop)
     best, best_fit = max(pop, key=lambda p: p[1])
     history = []
     evals = 0
@@ -62,7 +60,7 @@ def evolve(
         return rng.choices(pop, weights=weights, k=1)[0][0]
 
     while evals < budget:
-        if crossover is not None and rng.random() < crossover_prob:
+        if crossover is not None and rng.random() < 0.5:
             child = crossover(rng, pick_parent(), pick_parent())
         else:
             child = pick_parent()

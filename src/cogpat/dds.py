@@ -105,8 +105,7 @@ class Cell:
 
 
 class ValueFunction:
-    def __init__(self, n: int):
-        self.n = n
+    def __init__(self):
         self.table: dict[tuple[int, Any], Cell] = {}
         self.memo_hits = 0
 
@@ -115,9 +114,6 @@ class ValueFunction:
 
     def value(self, t, skey) -> float:
         return self.table[(t, skey)].value
-
-    def argmax(self, t, skey) -> tuple:
-        return self.table[(t, skey)].argmax
 
     def best_action(self, t, skey):
         arg = self.table[(t, skey)].argmax
@@ -187,12 +183,27 @@ def _unknown_successor(t, s2) -> DdsError:
     return DdsError(f"a transition at stage {t} names {s2!r}, which is not a stage {t + 1} state")
 
 
+def _check_declared(p: DdsProblem, t, s) -> None:
+    """Raise `_unknown_successor` if a rollout reached s at stage t > 1 but
+    stage t does not declare it.  Rollouts call it only once stuck, so a
+    successful one never enumerates a stage."""
+    if t > 1 and p.state_key(s) not in {p.state_key(s2) for s2 in p.states(t)}:
+        raise _unknown_successor(t - 1, s)
+
+
+def _draw_successor(p: DdsProblem, t, s, x, rng: random.Random):
+    """The successor of (t, s) under x: a point mass's only state, else one
+    `rng.choices` draw by transition probability."""
+    succ, probs = zip(*p.checked_transition(t, s, x))
+    return succ[0] if len(succ) == 1 else rng.choices(succ, weights=probs, k=1)[0]
+
+
 def _backward_induction(p: DdsProblem, budget_cells: int, estimate) -> ValueFunction:
     """Stages descending, states in layer order, one Bellman cell each.
     `estimate(dist, value)` is the continuation estimator, where `value(s2)`
     reads the solved next-stage value of s2."""
     _cell_budget_check(p, budget_cells)
-    vf = ValueFunction(p.n)
+    vf = ValueFunction()
     table = vf.table
     for t in range(p.n, 0, -1):
         def value(s2):
@@ -240,6 +251,7 @@ def greedy_run(p: DdsProblem, s0, mode: str = "argmax", seed: int = 0) -> Trajec
     for t in range(1, p.n + 1):
         acts = p.sorted_actions(t, s)
         if not acts:
+            _check_declared(p, t, s)
             raise DeadEndError(f"no feasible action at stage {t}, state {s!r}")
         rewards = [p.reward(t, s, x) for x in acts]
         if mode == "argmax":
@@ -255,9 +267,7 @@ def greedy_run(p: DdsProblem, s0, mode: str = "argmax", seed: int = 0) -> Trajec
         x = acts[i]
         steps.append((s, x, rewards[i]))
         if t < p.n:
-            dist = p.checked_transition(t, s, x)
-            succ, probs = zip(*dist)
-            s = succ[0] if len(succ) == 1 else rng.choices(succ, weights=probs, k=1)[0]
+            s = _draw_successor(p, t, s, x, rng)
     return Trajectory(steps, p.alpha)
 
 
@@ -273,13 +283,12 @@ def evaluate_policy(p: DdsProblem, policy: Mapping, episodes: int, seed: int = 0
         for t in range(1, p.n + 1):
             key = (t, p.state_key(s))
             if key not in policy:
+                _check_declared(p, t, s)
                 raise PolicyGapError(f"policy undefined at {key!r}")
             x = policy[key]
             total += p.alpha ** (t - 1) * p.reward(t, s, x)
             if t < p.n:
-                dist = p.checked_transition(t, s, x)
-                succ, probs = zip(*dist)
-                s = succ[0] if len(succ) == 1 else rng.choices(succ, weights=probs, k=1)[0]
+                s = _draw_successor(p, t, s, x, rng)
         totals.append(total)
     mean = sum(totals) / episodes
     if episodes > 1:
@@ -321,7 +330,7 @@ def chrono_solve(p: DdsProblem, budget_cells: int = 10**6) -> ValueFunction:
         return _bellman(p, t, s, lambda dist: _expectation(dist, pull))
 
     _, memo, hits = memo_recurse((0, None, None), children_of, compute, key=itemgetter(0, 1))
-    vf = ValueFunction(p.n)
+    vf = ValueFunction()
     vf.table = {node[:2]: memo[node[:2]] for node in roots}
     if len(memo) > len(vf.table) + 1:  # a successor outside the stage tables was solved
         t, key = min(memo.keys() - vf.table.keys() - {(0, None)}, key=repr)

@@ -9,6 +9,7 @@ referenced by name in fixtures and resolved against the registries below.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 from .cofo import CofoProblem, Hypothesis
@@ -97,9 +98,7 @@ def load_rules(path) -> list[Rule]:
                 f"{path}: rules[{i}] declares reversible={declared} "
                 f"but formula {formula!r} is reversible={rule.reversible}"
             )
-        name = entry.get("name", rule.name)
-        rules.append(Rule(name, rule.arity, rule.instantiate,
-                          rule.reversible, rule.unapply))
+        rules.append(replace(rule, name=entry.get("name", rule.name)))
     return rules
 
 

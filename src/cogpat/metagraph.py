@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import random
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional
 
@@ -32,10 +31,6 @@ class MgTypeError(MgError):
 
 class BindingError(MgError):
     """A join binding names a slot that does not exist."""
-
-
-class EmptySupportError(MgError):
-    """Weighted sampling was asked to draw from an all-zero weighting."""
 
 
 class StaleSnapshotError(MgError):
@@ -455,30 +450,6 @@ def _copy_atoms(out: TypedMetagraph, atoms: list[Atom], remap: dict[int, int],
         out._next_id = new_id
         out._bump()
     return range(first, new_id)
-
-
-# ---------------------------------------------------------------------------
-# Sampling
-
-
-def sample_atoms(
-    mg: _MgBase,
-    weight: "Callable[[Atom], float] | Mapping[int, float]",
-    k: int,
-    seed: int,
-) -> list[int]:
-    """Draw k atom ids independently, proportional to nonnegative weights."""
-    ids = sorted(mg.atoms)
-    if callable(weight):
-        weights = [float(weight(mg.atoms[i])) for i in ids]
-    else:
-        weights = [float(weight.get(i, 0.0)) for i in ids]
-    if any(w < 0 for w in weights):
-        raise ValueError("negative sampling weight")
-    if not ids or sum(weights) <= 0.0:
-        raise EmptySupportError("all sampling weights are zero")
-    rng = random.Random(seed)
-    return rng.choices(ids, weights=weights, k=k)
 
 
 # ---------------------------------------------------------------------------

@@ -278,14 +278,9 @@ def futu_unfold(seed, coalg: Coalgebra, budget: int) -> TypedMetagraph:
     return complete(futu_unfold_run(seed, coalg, budget))
 
 
-def unfold_run(seed, coalg: Coalgebra, budget: int) -> MorphRun:
-    run = futu_unfold_run(seed, coalg, budget)
-    run.kind = "unfold"
-    return run
-
-
-def unfold(seed, coalg: Coalgebra, budget: int) -> TypedMetagraph:
-    return complete(unfold_run(seed, coalg, budget))
+# kept only because the benchmark's traced run (perfbench/layers.py) wraps
+# these names
+unfold, unfold_run = futu_unfold, futu_unfold_run
 
 
 # ---------------------------------------------------------------------------
@@ -397,33 +392,3 @@ def memo_recurse(root, children_of: Callable[[Any], list],
         except StopIteration as done:
             return done.value
 
-
-# ---------------------------------------------------------------------------
-# Associativity audit
-
-
-@dataclass
-class AssociativityReport:
-    passed: bool
-    trials: int
-    counterexample: Optional[tuple] = None
-
-
-def audit_associativity(algebra: Algebra, ctxs: list, trials: int = 1000, seed: int = 0) -> AssociativityReport:
-    """Check the grouping identities order-invariant folding needs: for
-    sampled prefix values v and frame pairs (a, b),
-    combine(combine(v,a),b) == combine(combine(v,b),a)."""
-    if len(ctxs) < 2:
-        return AssociativityReport(True, 0)
-    rng = random.Random(seed)
-    for t in range(trials):
-        prefix = rng.sample(ctxs, rng.randint(0, len(ctxs)))
-        v = algebra.unit
-        for c in prefix:
-            v = algebra.combine(v, c)
-        a, b = rng.choice(ctxs), rng.choice(ctxs)
-        lhs = algebra.combine(algebra.combine(v, a), b)
-        rhs = algebra.combine(algebra.combine(v, b), a)
-        if lhs != rhs:
-            return AssociativityReport(False, t + 1, (v, a, b))
-    return AssociativityReport(True, trials)

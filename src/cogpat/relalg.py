@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 
@@ -266,49 +266,6 @@ def register_functor_carriers(carriers: Carriers, f: FunctorSpec, *names) -> Non
 
 
 # ---------------------------------------------------------------------------
-# Expression evaluator
-
-
-def rel_eval(expr, env: dict, carriers: Carriers, functor: Optional[FunctorSpec] = None):
-    """Evaluate a nested-tuple relation expression.
-
-    Forms: ("rel", name), ("compose", e, e), ("converse", e), ("meet", e, e),
-    ("union", e, e), ("lift", e), ("dom", e), ("subset", e, e), ("id", name),
-    ("full", src, tgt), ("empty", src, tgt).
-    """
-    op = expr[0]
-    if op == "rel":
-        return env[expr[1]]
-    if op == "compose":
-        return compose(rel_eval(expr[1], env, carriers, functor),
-                       rel_eval(expr[2], env, carriers, functor))
-    if op == "converse":
-        return converse(rel_eval(expr[1], env, carriers, functor))
-    if op == "meet":
-        return meet(rel_eval(expr[1], env, carriers, functor),
-                    rel_eval(expr[2], env, carriers, functor))
-    if op == "union":
-        return union(rel_eval(expr[1], env, carriers, functor),
-                     rel_eval(expr[2], env, carriers, functor))
-    if op == "lift":
-        if functor is None:
-            raise RelAlgError("lift needs a functor")
-        return functor.lift(carriers, rel_eval(expr[1], env, carriers, functor))
-    if op == "dom":
-        return rel_eval(expr[1], env, carriers, functor).dom()
-    if op == "subset":
-        return subset(rel_eval(expr[1], env, carriers, functor),
-                      rel_eval(expr[2], env, carriers, functor))
-    if op == "id":
-        return identity(carriers, expr[1])
-    if op == "full":
-        return full(carriers, expr[1], expr[2])
-    if op == "empty":
-        return empty(expr[1], expr[2])
-    raise RelAlgError(f"unknown expression form {op!r}")
-
-
-# ---------------------------------------------------------------------------
 # Relational fold over the truncated initial algebra
 
 
@@ -332,10 +289,6 @@ def rel_fold(s: FinRel, f: FunctorSpec, carriers: Carriers) -> FinRel:
     return FinRel(MU, s.tgt, frozenset([(m, v) for m, vs in x_out.items() for v in vs]))
 
 
-def is_functional(r: FinRel) -> bool:
-    return len(r.dom()) == len(r.pairs)
-
-
 # ---------------------------------------------------------------------------
 # Theorem reports
 
@@ -357,21 +310,8 @@ class GreedyReport:
         return self.preconditions_hold and not self.inclusion_holds
 
     def to_dict(self) -> dict:
-        return {
-            "transitive": self.transitive,
-            "monotone": self.monotone,
-            "monotone_counterexample": _jsonable(self.monotone_counterexample),
-            "inclusion_holds": self.inclusion_holds,
-            "inclusion_counterexample": _jsonable(self.inclusion_counterexample),
-            "preconditions_hold": self.preconditions_hold,
-            "violated": self.violated,
-        }
-
-
-def _jsonable(x):
-    if isinstance(x, tuple):
-        return [_jsonable(v) for v in x]
-    return x
+        return {**asdict(self), "preconditions_hold": self.preconditions_hold,
+                "violated": self.violated}
 
 
 def monotone_check(s: FinRel, r: FinRel, f: FunctorSpec, carriers: Carriers):
@@ -441,15 +381,8 @@ class DpReport:
         return self.preconditions_hold and not self.inclusion_holds
 
     def to_dict(self) -> dict:
-        return {
-            "monotone": self.monotone,
-            "domain_condition": self.domain_condition,
-            "converged": self.converged,
-            "inclusion_holds": self.inclusion_holds,
-            "inclusion_counterexample": _jsonable(self.inclusion_counterexample),
-            "preconditions_hold": self.preconditions_hold,
-            "violated": self.violated,
-        }
+        return {**asdict(self), "preconditions_hold": self.preconditions_hold,
+                "violated": self.violated}
 
 
 def dp_spec_relation(s: FinRel, t: FinRel, r: FinRel, f: FunctorSpec, carriers: Carriers) -> FinRel:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -21,6 +22,8 @@ from cogpat.fixtures import (
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 REPO = FIXTURES.parent
+# SHA-256 of each README command's artifacts, keyed "<command>: <file>"
+README_PINS = Path(__file__).resolve().parent / "readme_artifacts.sha256.json"
 
 # runs each command (argv lists, JSON) in one process, output under argv[1]
 RUN_COMMANDS = """
@@ -177,7 +180,7 @@ class TestExitCodes:
         ["solve", "--executor", "chrono"], ["solve", "--executor", "greedy"], ["compare"],
     ])
     @pytest.mark.parametrize("nxt, message", [
-        ({"Z": 1.0}, "'Z'"),  # greedy reaches Z and has no action there
+        ({"Z": 1.0}, "'Z'"),  # a state stage 2 does not declare
         ({"B": 0.5}, "probabilities sum to 0.5 at t=1"),
     ])
     def test_malformed_dds_table(self, tmp_path, command, nxt, message, capsys):
@@ -339,6 +342,13 @@ class TestHashSeedIndependence:
         trees = {h: tree_bytes(tmp_path / h) for h in procs}
         assert len({p.split(os.sep)[0] for p in trees["0"]}) == len(commands)
         assert trees["0"] == trees["2"]
+        got = {}
+        for rel, data in trees["0"].items():
+            i, *name = Path(rel).parts
+            got[f"{shlex.join(commands[int(i)])}: {'/'.join(name)}"] = hashlib.sha256(data).hexdigest()
+        pinned = json.loads(README_PINS.read_text())
+        differ = sorted(k for k in pinned.keys() | got.keys() if pinned.get(k) != got.get(k))
+        assert not differ, f"artifacts differ from {README_PINS.name}: {differ}"
 
     def test_clusters_of_string_labels_match_across_hash_seeds(self, tmp_path):
         # string labels hash differently per seed, so block iteration order

@@ -253,6 +253,25 @@ class TestUnknownSuccessor:
         with pytest.raises(DdsError, match="stage 1 names 'Z', which is not a stage 2 state"):
             solve(DdsProblem.from_tables(tables))
 
+    @staticmethod
+    def a1_to_z():
+        tables = json.loads(json.dumps(GD1_TABLES))
+        tables["actions"]["1"]["A"][0]["next"] = {"Z": 1.0}  # a1, the greedy choice
+        return DdsProblem.from_tables(tables)
+
+    def test_greedy_run_names_it(self):
+        # not a dead end at Z: the table, not the rollout, is at fault
+        with pytest.raises(DdsError, match="stage 1 names 'Z', which is not a stage 2 state") as exc:
+            greedy_run(self.a1_to_z(), "A")
+        assert type(exc.value) is DdsError
+
+    def test_evaluate_policy_names_it(self):
+        # not a policy gap at (2, 'Z'): the table, not the policy, is at fault
+        policy = {(1, "A"): "a1", (2, "B"): "b", (2, "C"): "c"}
+        with pytest.raises(DdsError, match="stage 1 names 'Z', which is not a stage 2 state") as exc:
+            evaluate_policy(self.a1_to_z(), policy, episodes=1, seed=0)
+        assert type(exc.value) is DdsError
+
 
 class TestChronoSolve:
     def test_gd1_identical_table(self):
@@ -271,7 +290,7 @@ class TestChronoSolve:
             a, b = exact_dp(p), chrono_solve(p)
             for key, cell in a.table.items():
                 assert b.value(*key) == pytest.approx(cell.value, abs=1e-9)
-                assert b.argmax(*key) == cell.argmax
+                assert b.table[key].argmax == cell.argmax
 
 
     def test_deep_chain_matches_exact(self):

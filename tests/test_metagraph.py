@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 
 import pytest
@@ -10,7 +9,6 @@ from cogpat.metagraph import (
     NODE,
     Atom,
     BindingError,
-    EmptySupportError,
     CanonicalizationError,
     MgIntegrityError,
     MgTypeError,
@@ -19,14 +17,9 @@ from cogpat.metagraph import (
     canonical_form,
     join,
     ref_slot,
-    sample_atoms,
     slot_ref,
     submetagraph,
 )
-
-
-def chi_square_2(counts, probs, total):
-    return sum((c - p * total) ** 2 / (p * total) for c, p in zip(counts, probs))
 
 
 class TestTruthValue:
@@ -242,35 +235,6 @@ class TestCanonicalForm:
         shuffled = list(range(len(nodes)))
         order.shuffle(shuffled)
         assert canonical_form(build(shuffled)) == canonical_form(build(range(len(nodes))))
-
-
-class TestSampleAtoms:
-    def test_unit_support(self):
-        mg = TypedMetagraph()
-        mg.add_node("A")
-        assert sample_atoms(mg, {0: 2.0}, 5, seed=1) == [0] * 5
-
-    def test_frequencies_chi_square(self):
-        mg = TypedMetagraph()
-        mg.add_node("A")
-        mg.add_node("B")
-        draws = sample_atoms(mg, {0: 1.0, 1: 3.0}, 10000, seed=42)
-        counts = [draws.count(0), draws.count(1)]
-        # chi-square with 1 dof; 3-sigma-ish bound ~ 9
-        assert chi_square_2(counts, [0.25, 0.75], 10000) < 9.0
-
-    def test_empty_support(self):
-        mg = TypedMetagraph()
-        mg.add_node("A")
-        with pytest.raises(EmptySupportError):
-            sample_atoms(mg, {0: 0.0}, 1, seed=0)
-
-    def test_seed_reproducible(self):
-        mg = TypedMetagraph()
-        for _ in range(5):
-            mg.add_node("A")
-        w = {i: i + 1.0 for i in range(5)}
-        assert sample_atoms(mg, w, 100, seed=7) == sample_atoms(mg, w, 100, seed=7)
 
 
 class TestSnapshot:

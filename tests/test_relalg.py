@@ -19,7 +19,6 @@ from cogpat.relalg import (
     fname,
     full,
     identity,
-    is_functional,
     is_transitive,
     lfp_dp,
     list_functor,
@@ -30,7 +29,6 @@ from cogpat.relalg import (
     random_preorder,
     random_relation,
     register_functor_carriers,
-    rel_eval,
     rel_fold,
     residual,
     sandwich_monotone,
@@ -157,25 +155,15 @@ class TestShrink:
 
 
 class TestRelEval:
+    """The forms a relation expression is built from, called directly; the
+    ones `TestCoreOps` does not already cover."""
+
     def test_expression_forms(self):
-        env = {
-            "S": FinRel("A", "B", frozenset({("a", 1), ("b", 2)})),
-            "R": FinRel("B", "C", frozenset({(1, "x")})),
-        }
-        got = rel_eval(("compose", ("rel", "S"), ("rel", "R")), env, ABC)
-        assert got.pairs == {("a", "x")}
-        assert rel_eval(("converse", ("converse", ("rel", "S"))), env, ABC) == env["S"]
-        assert rel_eval(("subset", ("rel", "S"), ("full", "A", "B")), env, ABC) is True
-        assert rel_eval(("dom", ("rel", "S")), env, ABC) == {"a", "b"}
-        assert rel_eval(("meet", ("rel", "S"), ("empty", "A", "B")), env, ABC).pairs == frozenset()
-        assert rel_eval(("union", ("rel", "S"), ("rel", "S")), env, ABC) == env["S"]
-        assert rel_eval(("id", "B"), env, ABC).pairs == {(1, 1), (2, 2), (3, 3)}
-
-    def test_lift_needs_functor(self):
-        from cogpat.relalg import RelAlgError
-
-        with pytest.raises(RelAlgError):
-            rel_eval(("lift", ("id", "B")), {}, ABC)
+        s = FinRel("A", "B", frozenset({("a", 1), ("b", 2)}))
+        assert subset(s, full(ABC, "A", "B")) is True
+        assert meet(s, empty("A", "B")).pairs == frozenset()
+        assert union(s, s) == s
+        assert identity(ABC, "B").pairs == {(1, 1), (2, 2), (3, 3)}
 
     def test_lift_of_identity_is_identity(self):
         carriers, f, _ = sum_fixture()
@@ -231,9 +219,9 @@ class TestRelFold:
 
     def test_functional_preserved(self):
         carriers, f, s = sum_fixture()
-        assert is_functional(s)
+        assert len(s.dom()) == len(s.pairs)
         fold = rel_fold(s, f, carriers)
-        assert is_functional(fold)
+        assert len(fold.dom()) == len(fold.pairs)
 
     def test_depth_independence(self):
         carriers2 = Carriers({"A": [1, 2], "B": [0, 1, 2, 3, 4]})
