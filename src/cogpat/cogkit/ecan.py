@@ -48,7 +48,7 @@ def ecan_run(view, q: float, steps: int, seed: int = 0,
         if not links:
             skipped.append(step)
             continue
-        y = rng.choices(links, weights=[1.0] * len(links), k=1)[0]
+        y = rng.choices(links, k=1)[0]
         sti[x] -= q
         sti[y] += q
         transfers.append((step, x, y))

@@ -1,7 +1,9 @@
 """Finite relation algebra with machine checks for the greedy-fold and
 dynamic-programming fixed-point theorems.
 
-Relations are extensional pair sets between named finite carriers, so every
+Relations are bit matrices over indexed finite carriers: one int mask per
+source value, bit j for the target carrier's j-th value, so the operations are
+word operations (Schmidt & Stroehlein, *Relations and Graphs*, 1993) and every
 law (residual Galois property, shrink inclusions, fold fusion) is decided by
 enumeration.  Inductive inputs come from a polynomial functor truncated at a
 fixed depth, which keeps the fold carrier finite.
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -24,29 +27,54 @@ class CarrierMismatchError(RelAlgError):
     pass
 
 
-@dataclass(frozen=True)
-class FinRel:
-    """Binary relation: pairs (x, y) with x in carrier `src`, y in `tgt`."""
+def _bits(m: int):
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
 
-    src: str
-    tgt: str
-    pairs: frozenset
+
+class FinRel:
+    """Binary relation from carrier `src` to `tgt`: bit j of rows[i] relates
+    xs[i] to ys[j], where xs and ys are the two carriers' values in order.
+    Equality and hashing read the pair set, as for any set of pairs."""
+
+    __slots__ = ("src", "tgt", "rows", "xs", "ys", "_pairs")
+
+    def __init__(self, src: str, tgt: str, rows: tuple, xs: tuple, ys: tuple):
+        self.src, self.tgt, self.rows, self.xs, self.ys, self._pairs = src, tgt, rows, xs, ys, None
+
+    @property
+    def pairs(self) -> frozenset:
+        if self._pairs is None:
+            self._pairs = frozenset([(x, self.ys[j]) for x, m in zip(self.xs, self.rows) for j in _bits(m)])
+        return self._pairs
 
     def __contains__(self, pair):
         return pair in self.pairs
 
+    def __eq__(self, other):
+        return isinstance(other, FinRel) and (self.src, self.tgt, self.pairs) == (other.src, other.tgt, other.pairs)
+
+    def __hash__(self):
+        return hash((self.src, self.tgt, self.pairs))
+
+    def __repr__(self):
+        return f"FinRel(src={self.src!r}, tgt={self.tgt!r}, pairs={self.pairs!r})"
+
     def dom(self) -> frozenset:
-        return frozenset(x for x, _ in self.pairs)
+        return frozenset([x for x, m in zip(self.xs, self.rows) if m])
 
     def ran(self) -> frozenset:
-        return frozenset(y for _, y in self.pairs)
+        return frozenset([self.ys[j] for j in _bits(functools.reduce(operator.or_, self.rows, 0))])
 
 
 class Carriers:
-    """Registry of named finite carriers."""
+    """Registry of named finite carriers, each indexed value -> position."""
 
     def __init__(self, table: dict):
         self.table = {k: tuple(v) for k, v in table.items()}
+        self._index: dict = {}
 
     def get(self, name: str) -> tuple:
         if name not in self.table:
@@ -55,111 +83,107 @@ class Carriers:
 
     def register(self, name: str, values) -> None:
         self.table[name] = tuple(values)
+        self._index.pop(name, None)
+
+    def index(self, name: str) -> dict:
+        """value -> position in the named carrier, built once per registration."""
+        if name not in self._index:
+            self._index[name] = {v: i for i, v in enumerate(self.get(name))}
+        return self._index[name]
 
     def rel(self, src: str, tgt: str, pairs) -> FinRel:
-        sv, tv = set(self.get(src)), set(self.get(tgt))
+        xi, yi, rows = self.index(src), self.index(tgt), [0] * len(self.get(src))
         for x, y in pairs:
-            if x not in sv or y not in tv:
+            if x not in xi or y not in yi:
                 raise CarrierMismatchError(f"pair ({x!r}, {y!r}) outside {src}x{tgt}")
-        return FinRel(src, tgt, frozenset(pairs))
+            rows[xi[x]] |= 1 << yi[y]
+        return FinRel(src, tgt, tuple(rows), self.get(src), self.get(tgt))
 
 
 # ---------------------------------------------------------------------------
 # Core operations
 
 
+def _match(op: str, name1: str, values1: tuple, name2: str, values2: tuple):
+    if name1 != name2 or (values1 is not values2 and values1 != values2):
+        raise CarrierMismatchError(f"{op}: {name1!r} != {name2!r} or their values differ")
+
+
 def converse(r: FinRel) -> FinRel:
-    return FinRel(r.tgt, r.src, frozenset((y, x) for x, y in r.pairs))
+    cols = [0] * len(r.ys)
+    for i, m in enumerate(r.rows):
+        for j in _bits(m):
+            cols[j] |= 1 << i
+    return FinRel(r.tgt, r.src, tuple(cols), r.ys, r.xs)
 
 
 def compose(r1: FinRel, r2: FinRel) -> FinRel:
-    """Pairs (x, z) with an r1-step then an r2-step through the middle."""
-    if r1.tgt != r2.src:
-        raise CarrierMismatchError(f"compose: {r1.tgt!r} != {r2.src!r}")
-    by_mid: dict = {}
-    for y, z in r2.pairs:
-        by_mid.setdefault(y, []).append(z)
-    return FinRel(r1.src, r2.tgt, frozenset(
-        [(x, z) for x, y in r1.pairs for z in by_mid.get(y, ())]))
+    """Pairs (x, z) with an r1-step then an r2-step through the middle: row
+    x is the OR of the r2 rows that r1's row x selects."""
+    _match("compose", r1.tgt, r1.ys, r2.src, r2.xs)
+    return FinRel(r1.src, r2.tgt, tuple([_or_rows(r2.rows, m) for m in r1.rows]), r1.xs, r2.ys)
 
 
 def _same_type(r1: FinRel, r2: FinRel):
-    if (r1.src, r1.tgt) != (r2.src, r2.tgt):
-        raise CarrierMismatchError(
-            f"type mismatch: {r1.src}->{r1.tgt} vs {r2.src}->{r2.tgt}"
-        )
+    _match("type mismatch", (r1.src, r1.tgt), (r1.xs, r1.ys), (r2.src, r2.tgt), (r2.xs, r2.ys))
 
 
 def meet(r1: FinRel, r2: FinRel) -> FinRel:
     _same_type(r1, r2)
-    return FinRel(r1.src, r1.tgt, r1.pairs & r2.pairs)
+    return FinRel(r1.src, r1.tgt, tuple(map(operator.and_, r1.rows, r2.rows)), r1.xs, r1.ys)
 
 
 def union(r1: FinRel, r2: FinRel) -> FinRel:
     _same_type(r1, r2)
-    return FinRel(r1.src, r1.tgt, r1.pairs | r2.pairs)
+    return FinRel(r1.src, r1.tgt, tuple(map(operator.or_, r1.rows, r2.rows)), r1.xs, r1.ys)
 
 
 def subset(r1: FinRel, r2: FinRel) -> bool:
     _same_type(r1, r2)
-    return r1.pairs <= r2.pairs
+    return not any(a & ~b for a, b in zip(r1.rows, r2.rows))
 
 
 def identity(carriers: Carriers, name: str) -> FinRel:
-    return FinRel(name, name, frozenset((x, x) for x in carriers.get(name)))
+    xs = carriers.get(name)
+    return FinRel(name, name, tuple(1 << i for i in range(len(xs))), xs, xs)
 
 
 def full(carriers: Carriers, src: str, tgt: str) -> FinRel:
-    return FinRel(
-        src, tgt,
-        frozenset(itertools.product(carriers.get(src), carriers.get(tgt))),
-    )
+    xs, ys = carriers.get(src), carriers.get(tgt)
+    return FinRel(src, tgt, ((1 << len(ys)) - 1,) * len(xs), xs, ys)
 
 
-def empty(src: str, tgt: str) -> FinRel:
-    return FinRel(src, tgt, frozenset())
+def empty(carriers: Carriers, src: str, tgt: str) -> FinRel:
+    xs, ys = carriers.get(src), carriers.get(tgt)
+    return FinRel(src, tgt, (0,) * len(xs), xs, ys)
 
 
-def residual(carriers: Carriers, r: FinRel, s: FinRel) -> FinRel:
-    """Largest X with compose(X, s) a subset of r.
-
-    (a, b) belongs iff every s-step from b lands where r allows from a.
-    """
-    if r.tgt != s.tgt:
-        raise CarrierMismatchError(f"residual: {r.tgt!r} != {s.tgt!r}")
-    s_out: dict = {}
-    for b, c in s.pairs:
-        s_out.setdefault(b, set()).add(c)
-    r_out: dict = {}
-    for a, c in r.pairs:
-        r_out.setdefault(a, set()).add(c)
-    out = set()
-    for a in carriers.get(r.src):
-        allowed = r_out.get(a, set())
-        for b in carriers.get(s.src):
-            if s_out.get(b, set()) <= allowed:
-                out.add((a, b))
-    return FinRel(r.src, s.src, frozenset(out))
+def residual(r: FinRel, s: FinRel) -> FinRel:
+    """Largest X with compose(X, s) a subset of r: (a, b) belongs iff every
+    s-step from b lands where r allows from a, so s's row b is inside r's row a."""
+    _match("residual", r.tgt, r.ys, s.tgt, s.ys)
+    rows = tuple(sum(1 << b for b, sb in enumerate(s.rows) if not sb & ~ra) for ra in r.rows)
+    return FinRel(r.src, s.src, rows, r.xs, s.xs)
 
 
 def shrink(s: FinRel, r: FinRel) -> FinRel:
-    """Keep (a, b) in s whose output b is r-above every s-output of a."""
-    if r.src != r.tgt or r.src != s.tgt:
-        raise CarrierMismatchError(f"shrink: need {s.tgt!r} endorelation, got {r.src}->{r.tgt}")
-    s_out: dict = {}
-    for a, b in s.pairs:
-        s_out.setdefault(a, set()).add(b)
-    r_up: dict = {}
-    for b, c in r.pairs:
-        r_up.setdefault(b, set()).add(c)
-    none: frozenset = frozenset()
-    kept = frozenset([(a, b) for a, b in s.pairs if s_out[a] <= r_up.get(b, none)])
-    return FinRel(s.src, s.tgt, kept)
+    """Keep (a, b) in s whose output b is r-above every s-output of a: bit b
+    of row a stays iff the row is a subset of r's row b."""
+    _match("shrink: need an endorelation", r.src, r.xs, r.tgt, r.ys)
+    _match("shrink", s.tgt, s.ys, r.src, r.xs)
+    r_rows, out = r.rows, []
+    for m in s.rows:
+        kept, rest = 0, m
+        while rest:
+            low = rest & -rest
+            if not m & ~r_rows[low.bit_length() - 1]:
+                kept |= low
+            rest ^= low
+        out.append(kept)
+    return FinRel(s.src, s.tgt, tuple(out), s.xs, s.ys)
 
 
 def is_transitive(r: FinRel) -> bool:
-    if r.src != r.tgt:
-        raise CarrierMismatchError("transitivity needs an endorelation")
     return subset(compose(r, r), r)
 
 
@@ -193,12 +217,7 @@ class FunctorSpec:
         """F applied to a plain set of values."""
         out = set()
         for i, slots in enumerate(self.summands):
-            pools = []
-            for slot in slots:
-                if slot == X_SLOT:
-                    pools.append(tuple(values))
-                else:
-                    pools.append(carriers.get(slot[1]))
+            pools = [tuple(values) if slot == X_SLOT else carriers.get(slot[1]) for slot in slots]
             for combo in itertools.product(*pools):
                 out.add((i, *combo))
         return frozenset(out)
@@ -226,15 +245,50 @@ class FunctorSpec:
 
     def lift(self, carriers: Carriers, r: FinRel) -> FinRel:
         """F(R): componentwise on recursion slots, equality on constants.
-        Each slot offers a pool of (lhs, rhs) pairs, led by the tag."""
-        out = []
-        for i, slots in enumerate(self.summands):
-            pools = [((i, i),)]
-            for slot in slots:
-                pools.append(r.pairs if slot == X_SLOT
-                             else [(v, v) for v in carriers.get(slot[1])])
-            out += [tuple(zip(*combo)) for combo in itertools.product(*pools)]
-        return FinRel(fname(r.src), fname(r.tgt), frozenset(out))
+        Each F(src) row sets the F(tgt) bits its X slots' r-rows select."""
+        fxs, fys = carriers.get(fname(r.src)), carriers.get(fname(r.tgt))
+        rows, table = r.rows, _lift_table(self, r.xs, r.ys, fxs, fys)
+        out = tuple([_lifted_row(src, bits, rows) for src, bits in table])
+        return FinRel(fname(r.src), fname(r.tgt), out, fxs, fys)
+
+
+@functools.lru_cache(maxsize=256)
+def _lift_table(f: FunctorSpec, xs: tuple, ys: tuple, fxs: tuple, fys: tuple) -> tuple:
+    """Per F(xs) element: the xs indices of its X-slot values, and the F(ys) bit
+    of each tuple of ys indices in those slots, as a dict.  A single slot has an
+    int index and a tuple by ys index."""
+    xi, bit = {v: i for i, v in enumerate(xs)}, {e: 1 << i for i, e in enumerate(fys)}
+    table = []
+    for e in fxs:
+        xpos = [k + 1 for k, slot in enumerate(f.summands[e[0]]) if slot == X_SLOT]
+        bits = {}
+        for js in itertools.product(range(len(ys)), repeat=len(xpos)):
+            put = dict(zip(xpos, [ys[j] for j in js]))
+            bits[js] = bit[tuple(put.get(k, v) for k, v in enumerate(e))]
+        src = tuple(xi[e[k]] for k in xpos)
+        if len(src) == 1:
+            src, bits = src[0], tuple(bits.values())
+        table.append((src, bits))
+    return tuple(table)
+
+
+def _lifted_row(src, bits, rows) -> int:
+    """One row of a lifted relation, from its `_lift_table` entry."""
+    if type(src) is int:
+        return _or_rows(bits, rows[src])
+    if not src:
+        return bits[()]
+    keys = itertools.product(*[tuple(_bits(rows[k])) for k in src])
+    return functools.reduce(operator.or_, [bits[key] for key in keys], 0)
+
+
+def _or_rows(rows: tuple, m: int) -> int:
+    acc = 0
+    while m:
+        low = m & -m
+        acc |= rows[low.bit_length() - 1]
+        m ^= low
+    return acc
 
 
 @functools.lru_cache(maxsize=64)
@@ -273,28 +327,32 @@ def rel_fold(s: FinRel, f: FunctorSpec, carriers: Carriers) -> FinRel:
     """Least X with X = compose(in-converse, compose(F(X), s)): relate each
     inductive element to every s-image of its recursively-related image.
     muF is well-founded, so X is a catamorphism, built in one pass over
-    `mu_order` (children first) rather than by Kleene iteration."""
-    s_by_in: dict = {}
-    for fin, out in s.pairs:
-        s_by_in.setdefault(fin, []).append(out)
-    x_out: dict = {}
-    for m in f.mu_order(carriers):
-        i = m[0]
-        pools = [x_out.get(v, ()) if slot == X_SLOT else (v,)
-                 for v, slot in zip(m[1:], f.summands[i])]
-        outs = {out for combo in itertools.product(*pools)
-                for out in s_by_in.get((i, *combo), ())}
-        if outs:
-            x_out[m] = outs
-    return FinRel(MU, s.tgt, frozenset([(m, v) for m, vs in x_out.items() for v in vs]))
+    `mu_order` (children first) rather than by Kleene iteration: m, read as
+    an element of F(muF), gets its F(X) row composed with s."""
+    _match("rel_fold", s.src, s.xs, fname(s.tgt), carriers.get(fname(s.tgt)))
+    mu, order = carriers.get(MU), f.mu_order(carriers)
+    at, x, s_rows = carriers.index(MU), [0] * len(mu), s.rows
+    for m, (src, bits) in zip(order, _lift_table(f, mu, s.ys, order, s.xs)):
+        x[at[m]] = _or_rows(s_rows, _lifted_row(src, bits, x))
+    return FinRel(MU, s.tgt, tuple(x), mu, s.ys)
 
 
 # ---------------------------------------------------------------------------
 # Theorem reports
 
 
+class _Report:
+    @property
+    def violated(self) -> bool:
+        return self.preconditions_hold and not self.inclusion_holds
+
+    def to_dict(self) -> dict:
+        return {**asdict(self), "preconditions_hold": self.preconditions_hold,
+                "violated": self.violated}
+
+
 @dataclass
-class GreedyReport:
+class GreedyReport(_Report):
     transitive: bool
     monotone: bool
     monotone_counterexample: Optional[tuple]
@@ -305,24 +363,19 @@ class GreedyReport:
     def preconditions_hold(self) -> bool:
         return self.transitive and self.monotone
 
-    @property
-    def violated(self) -> bool:
-        return self.preconditions_hold and not self.inclusion_holds
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "preconditions_hold": self.preconditions_hold,
-                "violated": self.violated}
-
 
 def monotone_check(s: FinRel, r: FinRel, f: FunctorSpec, carriers: Carriers):
     """Improving the recursive inputs (per r) can only improve the output:
     compose(F(r), s) inside compose(s, r)."""
-    lhs = compose(f.lift(carriers, r), s)
-    rhs = compose(s, r)
-    bad = lhs.pairs - rhs.pairs
-    if bad:
-        return False, min(bad, key=repr)
-    return True, None
+    bad = _least_excess(compose(f.lift(carriers, r), s), compose(s, r))
+    return bad is None, bad
+
+
+def _least_excess(r1: FinRel, r2: FinRel) -> Optional[tuple]:
+    """The repr-least pair of r1 outside r2, or None when r1 is inside r2."""
+    _same_type(r1, r2)
+    rows = tuple([a & ~b for a, b in zip(r1.rows, r2.rows)])
+    return min(FinRel(r1.src, r1.tgt, rows, r1.xs, r1.ys).pairs, key=repr) if any(rows) else None
 
 
 def verify_greedy_theorem(s: FinRel, r: FinRel, f: FunctorSpec, carriers: Carriers) -> GreedyReport:
@@ -332,8 +385,8 @@ def verify_greedy_theorem(s: FinRel, r: FinRel, f: FunctorSpec, carriers: Carrie
     mono, mono_ce = monotone_check(s, r, f, carriers)
     lhs = rel_fold(shrink(s, r), f, carriers)
     rhs = shrink(rel_fold(s, f, carriers), r)
-    bad = lhs.pairs - rhs.pairs
-    return GreedyReport(trans, mono, mono_ce, not bad, min(bad, key=repr) if bad else None)
+    bad = _least_excess(lhs, rhs)
+    return GreedyReport(trans, mono, mono_ce, bad is None, bad)
 
 
 @dataclass
@@ -350,13 +403,13 @@ def lfp_dp(s: FinRel, t: FinRel, r: FinRel, f: FunctorSpec, carriers: Carriers, 
     of X alone, so once an X recurs the orbit is periodic and the X the
     capped loop would end on is read off the orbit instead of iterated."""
     t_conv = converse(t)
-    x = empty(t.tgt, s.tgt)
-    orbit, seen = [x], {x.pairs: 0}
+    x = empty(carriers, t.tgt, s.tgt)
+    orbit, seen = [x], {x.rows: 0}
     for k in range(cap):
         x2 = shrink(compose(compose(t_conv, f.lift(carriers, x)), s), r)
-        if x2.pairs == x.pairs:
+        if x2.rows == x.rows:
             return LfpResult(x2, k + 1, True)
-        j = seen.setdefault(x2.pairs, k + 1)
+        j = seen.setdefault(x2.rows, k + 1)
         if j <= k:
             return LfpResult(orbit[j + (cap - j) % (k + 1 - j)], cap, False)
         orbit.append(x2)
@@ -365,7 +418,7 @@ def lfp_dp(s: FinRel, t: FinRel, r: FinRel, f: FunctorSpec, carriers: Carriers, 
 
 
 @dataclass
-class DpReport:
+class DpReport(_Report):
     monotone: bool
     domain_condition: bool
     converged: bool
@@ -375,14 +428,6 @@ class DpReport:
     @property
     def preconditions_hold(self) -> bool:
         return self.monotone and self.domain_condition and self.converged
-
-    @property
-    def violated(self) -> bool:
-        return self.preconditions_hold and not self.inclusion_holds
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "preconditions_hold": self.preconditions_hold,
-                "violated": self.violated}
 
 
 def dp_spec_relation(s: FinRel, t: FinRel, r: FinRel, f: FunctorSpec, carriers: Carriers) -> FinRel:
@@ -398,8 +443,8 @@ def verify_dp_theorem(s: FinRel, t: FinRel, r: FinRel, f: FunctorSpec, carriers:
     lifted_m = f.lift(carriers, m)
     dom_ok = t.dom() <= compose(lifted_m, s).dom()
     res = lfp_dp(s, t, r, f, carriers, cap)
-    bad = res.rel.pairs - m.pairs
-    return DpReport(mono, dom_ok, res.converged, not bad, min(bad, key=repr) if bad else None)
+    bad = _least_excess(res.rel, m)
+    return DpReport(mono, dom_ok, res.converged, bad is None, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -407,25 +452,21 @@ def verify_dp_theorem(s: FinRel, t: FinRel, r: FinRel, f: FunctorSpec, carriers:
 
 
 def transitive_closure(r: FinRel) -> FinRel:
-    """Warshall: after round k, x reaches z through the first k intermediates."""
-    succ: dict = {}
-    for x, y in r.pairs:
-        succ.setdefault(x, set()).add(y)
-    for k, via_k in succ.items():
-        for reach in succ.values():
-            if k in reach:
-                reach |= via_k
-    return FinRel(r.src, r.tgt, frozenset([(x, y) for x, ys in succ.items() for y in ys]))
+    """Warshall on the row masks: after round k, row x holds every z that x
+    reaches through the first k intermediates."""
+    _match("transitive closure", r.src, r.xs, r.tgt, r.ys)
+    rows = list(r.rows)
+    for k in range(len(rows)):
+        bit, via_k = 1 << k, rows[k]
+        rows = [m | via_k if m & bit else m for m in rows]
+    return FinRel(r.src, r.tgt, tuple(rows), r.xs, r.ys)
 
 
 def random_relation(rng: random.Random, carriers: Carriers, src: str, tgt: str, density: float) -> FinRel:
-    pairs = {
-        (x, y)
-        for x in carriers.get(src)
-        for y in carriers.get(tgt)
-        if rng.random() < density
-    }
-    return FinRel(src, tgt, frozenset(pairs))
+    xs, ys = carriers.get(src), carriers.get(tgt)
+    draw, bits = rng.random, [1 << j for j in range(len(ys))]
+    rows = tuple([sum([b for b in bits if draw() < density]) for _ in xs])
+    return FinRel(src, tgt, rows, xs, ys)
 
 
 def random_preorder(rng: random.Random, carriers: Carriers, name: str, density: float = 0.3) -> FinRel:
@@ -440,12 +481,10 @@ def sandwich_monotone(s0: FinRel, r: FinRel, f: FunctorSpec, carriers: Carriers)
 
 
 def random_functional(rng: random.Random, carriers: Carriers, src: str, tgt: str, total: bool = True) -> FinRel:
-    tgts = carriers.get(tgt)
-    pairs = set()
-    for x in carriers.get(src):
-        if total or rng.random() < 0.8:
-            pairs.add((x, rng.choice(tgts)))
-    return FinRel(src, tgt, frozenset(pairs))
+    xs, ys = carriers.get(src), carriers.get(tgt)
+    js = range(len(ys))  # choice(js) draws what choice(ys) draws
+    rows = tuple([1 << rng.choice(js) if total or rng.random() < 0.8 else 0 for _ in xs])
+    return FinRel(src, tgt, rows, xs, ys)
 
 
 def random_greedy_instance(seed: int):
@@ -494,9 +533,5 @@ def sum_fixture():
     carriers = Carriers({"A": [1, 2], "B": [0, 1, 2, 3, 4]})
     f = list_functor("A", depth=3)
     register_functor_carriers(carriers, f, "B")
-    pairs = {((0,), 0)}
-    for a in carriers.get("A"):
-        for x in carriers.get("B"):
-            pairs.add(((1, a, x), min(a + x, 4)))
-    s = FinRel(fname("B"), "B", frozenset(pairs))
-    return carriers, f, s
+    pairs = {((1, a, x), min(a + x, 4)) for a in carriers.get("A") for x in carriers.get("B")}
+    return carriers, f, carriers.rel(fname("B"), "B", {((0,), 0), *pairs})
