@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -259,16 +260,16 @@ def cmd_cog_backchain(args) -> int:
     if not src or not dst:
         raise FixtureError(f"--target must look like SRC,DST, got {args.target!r}")
     budget = args.budget if args.budget is not None else 5
-    tv, bid = backward_chain_tv(kb, (src, dst), budget, seed=_resolve_seed(args))
+    tv, nodes = backward_chain_tv(kb, (src, dst), budget, seed=_resolve_seed(args))
     _write_json(args, "backchain.json", {
         "target": f"{src}->{dst}",
         "tv": _tv_dict(tv),
-        "expansions": bid.expansions,
+        "expansions": sum(1 for n in nodes if n.children),
         "nodes": [
             {"id": n.id, "statement": f"{n.statement[0]}->{n.statement[1]}",
              "rule": n.rule, "tv": _tv_dict(n.tv),
              "children": list(n.children), "leaf_kind": n.leaf_kind}
-            for _, n in sorted(bid.nodes.items())
+            for n in nodes
         ],
     })
     return 0
@@ -293,6 +294,8 @@ def cmd_cog_mine(args) -> int:
     kb = load_metagraph(args.fixture)
     view = kb.snapshot()
     budget = args.budget if args.budget is not None else 5
+    if budget < 0:
+        raise FixtureError(f"--budget must be >= 0, got {budget}")
     types = sorted({e.type_label for e in view.edges() if len(e.targets) == 2})
     seeds = [conj((t, ("X", "Y"))) for t in types]
     mined = mine_patterns(view, seeds, min_freq=args.min_freq, budget=budget)
@@ -326,6 +329,8 @@ def cmd_cog_evolve(args) -> int:
 def cmd_cog_ecan(args) -> int:
     kb = load_metagraph(args.fixture)
     steps = args.budget if args.budget is not None else 10
+    if not 0 < args.quantum < math.inf:  # also rejects nan
+        raise FixtureError(f"--quantum must be finite and > 0, got {args.quantum}")
     res = ecan_run(kb.snapshot(), q=args.quantum, steps=steps, seed=_resolve_seed(args))
     _write_json(args, "ecan.json", {
         "sti": {str(i): v for i, v in sorted(res.sti.items())},

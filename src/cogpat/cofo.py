@@ -229,7 +229,6 @@ def make_cofo_dds(
     horizon: int,
     sampler="exhaustive",
     seed: int = 0,
-    d0: Dataset = (),
 ) -> DdsProblem:
     """State = dataset; action = (x, y, combinator name); reward = entropy
     drop of the promising set after appending the evaluated combination."""
@@ -286,7 +285,7 @@ def make_cofo_dds(
         d2 = successor(d, action)
         return evaluate(dataset_key(d), d)[1] - evaluate(dataset_key(d2), d2)[1]
 
-    return reachable_problem(d0, horizon, actions, successor, reward, state_key=dataset_key)
+    return reachable_problem((), horizon, actions, successor, reward, state_key=dataset_key)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from .pln import (
     inversion,
 )
 from .chain import (
-    Bid,
     BidNode,
     ChainResult,
     Rule,
@@ -45,7 +44,7 @@ from .ecan import EcanResult, ecan_run
 
 __all__ = [
     "PlnError", "SingularityError", "cwig", "deduction", "induction", "inversion",
-    "Bid", "BidNode", "ChainResult", "Rule", "backward_chain_tv",
+    "BidNode", "ChainResult", "Rule", "backward_chain_tv",
     "deduction_rule", "forward_chain", "implication_kb", "inversion_rule",
     "rule_roundtrip_audit",
     "Clustering", "agglomerate", "logical_entropy", "merge_process", "partition_quality",

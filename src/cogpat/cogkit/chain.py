@@ -11,8 +11,8 @@ statement toward kb leaves and reads the query's truth value off the root.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
 
 from ..dds import plan
 from ..metagraph import IGNORANCE, TruthValue, TypedMetagraph, as_view
@@ -136,12 +136,19 @@ class ChainResult:
     model: KbModel
 
 
+# a step: (premises, rule name, conclusion, tv, reward); a pass concludes nothing
+PASS = ((), "pass", None, None, 0.0)
+
+
 def _candidates(model: KbModel, rules) -> list:
+    """The steps worth taking from `model`, those with positive reward, in
+    key order."""
     out = []
     for rule in rules:
         for premises, conclusion, tv in rule.instantiate(model):
             reward = cwig(model.belief(conclusion), tv)
-            out.append((premises, rule.name, conclusion, tv, reward))
+            if reward > 0.0:
+                out.append((premises, rule.name, conclusion, tv, reward))
     out.sort(key=lambda c: (c[0], c[1], c[2]))
     return out
 
@@ -152,6 +159,21 @@ def _apply(model: KbModel, conclusion, tv) -> KbModel:
     return KbModel(model.priors, stmts)
 
 
+def _replay(model: KbModel, taken) -> ChainResult:
+    """Apply the steps either executor took.  A pass leaves the state, and
+    so its lone pass action, unchanged: the first one ends the chain as a
+    stall."""
+    added = {}
+    trace = []
+    for premises, rname, conclusion, tv, reward in taken:
+        if conclusion is None:
+            return ChainResult(added, trace, True, model)
+        model = _apply(model, conclusion, tv)
+        added[conclusion] = tv
+        trace.append((premises, rname, conclusion, reward))
+    return ChainResult(added, trace, False, model)
+
+
 def forward_chain(kb, rules, steps: int, executor: str = "greedy") -> ChainResult:
     model = KbModel.from_view(kb)
     if not model.stmts:
@@ -160,20 +182,16 @@ def forward_chain(kb, rules, steps: int, executor: str = "greedy") -> ChainResul
         return _forward_chain_dds(model, rules, steps)
     if executor not in ("greedy", "dp"):
         raise ValueError(f"unknown executor {executor!r}")
-    trace = []
-    added = {}
-    stalled = False
+    taken = []
+    m = model
     for _ in range(steps):
-        cands = [c for c in _candidates(model, rules) if c[4] > 0.0]
-        if not cands:
-            stalled = True
+        # max returns the first of tied candidates; candidates are key-sorted
+        step = max(_candidates(m, rules), key=lambda c: c[4], default=PASS)
+        taken.append(step)
+        if step is PASS:
             break
-        # max returns the first of tied candidates; cands are key-sorted
-        premises, rname, conclusion, tv, reward = max(cands, key=lambda c: c[4])
-        model = _apply(model, conclusion, tv)
-        added[conclusion] = tv
-        trace.append((premises, rname, conclusion, reward))
-    return ChainResult(added, trace, stalled, model)
+        m = _apply(m, step[2], step[3])
+    return _replay(model, taken)
 
 
 def _forward_chain_dds(model: KbModel, rules, steps: int) -> ChainResult:
@@ -187,16 +205,9 @@ def _forward_chain_dds(model: KbModel, rules, steps: int) -> ChainResult:
             m = _apply(m, conclusion, tv)
         return m
 
-    PASS = ((), "pass", None, None, 0.0)
-
     def actions(t, state):
-        out = [
-            (premises, rname, conclusion, tv, reward)
-            for premises, rname, conclusion, tv, reward in _candidates(rebuild(state), rules)
-            if reward > 0.0
-        ]
         # exhausted states idle so shorter plans stay feasible
-        return out or [PASS]
+        return _candidates(rebuild(state), rules) or [PASS]
 
     def successor(state, action):
         _, _, conclusion, tv, _ = action
@@ -204,27 +215,16 @@ def _forward_chain_dds(model: KbModel, rules, steps: int) -> ChainResult:
             return state
         return tuple(sorted(set(state) | {(conclusion, tv)}))
 
-    taken, end = plan((), steps, actions, successor, lambda t, s, x: x[4],
-                      action_key=lambda x: repr((x[1], x[2])))
-    trace = []
-    added = {}
-    stalled = False
-    for premises, rname, conclusion, tv, reward in taken:
-        if conclusion is None:
-            # a pass leaves the state, and so its lone pass action, unchanged
-            stalled = True
-            break
-        added[conclusion] = tv
-        trace.append((premises, rname, conclusion, reward))
-    return ChainResult(added, trace, stalled, rebuild(end))
+    taken, _ = plan((), steps, actions, successor, lambda t, s, x: x[4],
+                    action_key=lambda x: repr((x[1], x[2])))
+    return _replay(base, taken)
 
 
 # ---------------------------------------------------------------------------
 # Backward chaining
 
 
-@dataclass
-class BidNode:
+class BidNode(NamedTuple):
     id: int
     statement: tuple
     rule: Optional[str]          # None for leaves
@@ -233,84 +233,48 @@ class BidNode:
     leaf_kind: Optional[str] = None   # "dataset" (kb-backed) or "open"
 
 
-@dataclass
-class Bid:
-    nodes: dict = field(default_factory=dict)
-    root: int = 0
-
-    def add(self, statement, rule, tv, children=(), leaf_kind=None) -> int:
-        nid = len(self.nodes)
-        self.nodes[nid] = BidNode(nid, statement, rule, tv, tuple(children), leaf_kind)
-        return nid
-
-    def check(self) -> None:
-        def children_of(nid):
-            node = self.nodes[nid]
-            if node.children and node.rule is None:
-                raise ValueError("internal bid node lacks a rule")
-            if len(node.children) > 2:
-                raise ValueError("bid nodes are at most binary")
-            return node.children
-
-        memo_recurse(self.root, children_of, lambda nid, vals: None)
-
-    @property
-    def expansions(self) -> int:
-        return sum(1 for n in self.nodes.values() if n.children)
-
-
 def backward_chain_tv(kb, target: tuple, budget: int, seed: int = 0):
-    """Estimate the truth value of `target` (a (src, dst) implication) by
-    expanding an inference dag down to kb statements."""
+    """Estimate the truth value of `target` (a (src, dst) implication) as an
+    unfold-then-fold over its inference dag: the unfold splits an open
+    statement into the two kb halves of a drawn deduction while budget
+    remains, the fold chains the halves back with deduction.  Returns (tv,
+    nodes): the dag's BidNodes in id order, ids in visiting order, root
+    first."""
     model = KbModel.from_view(kb)
-    bid = Bid()
     rng = random.Random(seed)
-    if target in model.stmts:
-        tv = model.stmts[target]
-        bid.root = bid.add(target, None, tv, leaf_kind="dataset")
-        bid.check()
-        return tv, bid
-    bid.root = bid.add(target, None, IGNORANCE, leaf_kind="open")
+    ids: dict = {}               # statement -> node id
+    left = budget
 
-    def expansions_for(stmt):
+    def children_of(stmt):
+        nonlocal left
+        ids[stmt] = len(ids)
+        if stmt in model.stmts or left <= 0:
+            return ()
         src, dst = stmt
-        out = []
-        for b in sorted(model.priors):
-            if b in (src, dst):
-                continue
-            ab = model.stmts.get((src, b))
-            bc = model.stmts.get((b, dst))
-            if ab is None or bc is None:
-                continue
-            try:
-                tv = deduction(ab, bc, model.priors[b], model.priors[dst])
-            except SingularityError:
-                continue
-            out.append((b, ab, bc, tv))
-        return out
+        # deduction is singular on a certain middle term
+        middles = [b for b in sorted(model.priors)
+                   if b not in stmt and model.priors[b] < 1.0
+                   and (src, b) in model.stmts and (b, dst) in model.stmts]
+        if not middles:
+            return ()
+        left -= 1
+        # a draw of the one open leaf to expand, kept so that seeded
+        # artifacts keep their bytes until the split draw changes anyway
+        rng.random()
+        weights = [min(model.stmts[(src, m)].c, model.stmts[(m, dst)].c) + 0.01 for m in middles]
+        b, = rng.choices(middles, weights=weights)
+        return ((src, b), (b, dst))
 
-    for _ in range(budget):
-        leaves = [n for n in bid.nodes.values()
-                  if n.leaf_kind == "open" and not n.children and expansions_for(n.statement)]
-        if not leaves:
-            break
-        weights = [max(leaf.tv.c, 0.01) for leaf in leaves]
-        leaf = rng.choices(leaves, weights=weights, k=1)[0]
-        options = expansions_for(leaf.statement)
-        b, ab, bc, _ = rng.choices(
-            options, weights=[min(o[1].c, o[2].c) + 0.01 for o in options], k=1
-        )[0]
-        src, dst = leaf.statement
-        left = bid.add((src, b), None, ab, leaf_kind="dataset")
-        right = bid.add((b, dst), None, bc, leaf_kind="dataset")
-        leaf.children = (left, right)
-        leaf.rule = "deduction"
-        leaf.leaf_kind = None
-        # children are added after their parent: descending ids are post-order
-        for node in reversed(bid.nodes.values()):
-            if node.children:
-                first, second = (bid.nodes[c] for c in node.children)
-                node.tv = deduction(first.tv, second.tv, model.priors[first.statement[1]],
-                                    model.priors[node.statement[1]])
-    bid.check()
-    return bid.nodes[bid.root].tv, bid
+    def compute(stmt, halves):
+        nid = ids[stmt]
+        if halves:
+            ab, bc = halves
+            tv = deduction(ab.tv, bc.tv, model.priors[ab.statement[1]], model.priors[stmt[1]])
+            return BidNode(nid, stmt, "deduction", tv, (ab.id, bc.id))
+        if stmt in model.stmts:
+            return BidNode(nid, stmt, None, model.stmts[stmt], leaf_kind="dataset")
+        return BidNode(nid, stmt, None, IGNORANCE, leaf_kind="open")
+
+    root, memo, _ = memo_recurse(target, children_of, compute)
+    # ids are unique, so the nodes sort by id
+    return root.tv, sorted(memo.values())

@@ -22,8 +22,7 @@ def _clamp01(x: float) -> float:
     return min(1.0, max(0.0, x))
 
 
-def deduction(ab: TruthValue, bc: TruthValue, b_prior: float, c_prior: float,
-              k: float = 1.0) -> TruthValue:
+def deduction(ab: TruthValue, bc: TruthValue, b_prior: float, c_prior: float) -> TruthValue:
     """Chain A->B and B->C into A->C.
 
     Strength follows the independence formula; evidence count is the weaker
@@ -33,23 +32,22 @@ def deduction(ab: TruthValue, bc: TruthValue, b_prior: float, c_prior: float,
         raise SingularityError("middle-term prior strength must be < 1")
     s = ab.s * bc.s + (1.0 - ab.s) * (c_prior - b_prior * bc.s) / (1.0 - b_prior)
     n = min(ab.n, bc.n)
-    return TruthValue.from_count(_clamp01(s), n, k=k)
+    return TruthValue.from_count(_clamp01(s), n)
 
 
-def inversion(ab: TruthValue, a_prior: float, b_prior: float,
-              k: float = 1.0) -> TruthValue:
+def inversion(ab: TruthValue, a_prior: float, b_prior: float) -> TruthValue:
     """Flip A->B into B->A by Bayes' rule on the strengths."""
     if b_prior <= 0.0:
         raise SingularityError("consequent prior strength must be > 0")
     s = ab.s * a_prior / b_prior
-    return TruthValue.from_count(_clamp01(s), ab.n, k=k)
+    return TruthValue.from_count(_clamp01(s), ab.n)
 
 
 def induction(ba: TruthValue, bc: TruthValue, a_prior: float, b_prior: float,
-              c_prior: float, k: float = 1.0) -> TruthValue:
+              c_prior: float) -> TruthValue:
     """From B->A and B->C infer A->C: invert the first premise, then chain."""
-    ab = inversion(ba, b_prior, a_prior, k=k)
-    return deduction(ab, bc, b_prior, c_prior, k=k)
+    ab = inversion(ba, b_prior, a_prior)
+    return deduction(ab, bc, b_prior, c_prior)
 
 
 def _digamma(x: float) -> float:

@@ -109,9 +109,6 @@ class ValueFunction:
         self.table: dict[tuple[int, Any], Cell] = {}
         self.memo_hits = 0
 
-    def set(self, t, skey, value, argmax):
-        self.table[(t, skey)] = Cell(value, tuple(argmax))
-
     def value(self, t, skey) -> float:
         return self.table[(t, skey)].value
 
@@ -274,6 +271,8 @@ def greedy_run(p: DdsProblem, s0, mode: str = "argmax", seed: int = 0) -> Trajec
 def evaluate_policy(p: DdsProblem, policy: Mapping, episodes: int, seed: int = 0):
     """Empirical mean total discounted reward of a (t, state_key) -> action
     policy; returns (mean, standard error)."""
+    if episodes < 1:
+        raise DdsError("episodes must be >= 1")
     rng = random.Random(seed)
     totals = []
     for _ in range(episodes):

@@ -75,10 +75,10 @@ class TruthValue:
         return (self.s * n + 1.0, (1.0 - self.s) * n + 1.0)
 
     @staticmethod
-    def from_count(s: float, n: float, k: float = 1.0) -> "TruthValue":
+    def from_count(s: float, n: float) -> "TruthValue":
         if n < 0:
             raise ValueError(f"negative evidence count: {n}")
-        return TruthValue(s, n / (n + k), k)
+        return TruthValue(s, n / (n + 1.0))
 
     def to_dict(self) -> dict:
         d = {"s": self.s, "c": self.c}

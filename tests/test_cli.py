@@ -141,6 +141,18 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, message", [
+        (["mine", "--budget", -1], "--budget must be >= 0, got -1"),
+        (["ecan", "--quantum", 0], "--quantum must be finite and > 0, got 0.0"),
+        (["ecan", "--quantum", "nan"], "--quantum must be finite and > 0, got nan"),
+        (["ecan", "--quantum", "inf"], "--quantum must be finite and > 0, got inf"),
+    ])
+    def test_cog_usage_error(self, tmp_path, command, message, capsys):
+        assert run("cog", *command, "--fixture", FIXTURES / "kb_social.json",
+                   "--out", tmp_path) == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     @staticmethod
     def cofo_fixture(tmp_path, edit) -> Path:
         data = json.loads((FIXTURES / "cofo_two_hypotheses.json").read_text())
@@ -258,6 +270,8 @@ class TestCogCommands:
         data = json.loads((tmp_path / "backchain.json").read_text())
         assert data["tv"]["s"] == pytest.approx(0.78)
         assert data["expansions"] == 1
+        assert [(n["id"], n["statement"], n["children"], n["leaf_kind"]) for n in data["nodes"]] == [
+            (0, "A->C", [1, 2], None), (1, "A->B", [], "dataset"), (2, "B->C", [], "dataset")]
 
     def test_cluster_blocks(self, tmp_path):
         assert run("cog", "cluster", "--fixture", FIXTURES / "points_two_pairs.json",

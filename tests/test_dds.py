@@ -241,6 +241,11 @@ class TestEvaluatePolicy:
         with pytest.raises(PolicyGapError):
             evaluate_policy(p, {(1, "A"): "a1"}, episodes=1, seed=0)
 
+    def test_no_episodes_rejected(self):
+        policy = {(1, "A"): "a1", (2, "B"): "b", (2, "C"): "c"}
+        with pytest.raises(DdsError, match="episodes must be >= 1"):
+            evaluate_policy(gd1(), policy, episodes=0, seed=0)
+
 
 class TestUnknownSuccessor:
     @pytest.mark.parametrize("solve", [
