@@ -77,22 +77,14 @@ def _resolve_seed(args) -> int:
     return DEFAULT_SEED
 
 
-def _outdir(args) -> Path:
+def _write_text(args, name: str, text: str) -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    (out / name).write_text(text)
 
 
-def _write_json(args, name: str, obj) -> Path:
-    path = _outdir(args) / name
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
-    return path
-
-
-def _write_text(args, name: str, text: str) -> Path:
-    path = _outdir(args) / name
-    path.write_text(text)
-    return path
+def _write_json(args, name: str, obj) -> None:
+    _write_text(args, name, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def _tv_dict(tv) -> dict:
@@ -101,6 +93,15 @@ def _tv_dict(tv) -> dict:
 
 # ---------------------------------------------------------------------------
 # dds
+
+
+def _value_function(problem, executor: str, seed: int, rollouts: int):
+    """The value function that `executor` (sdp, chrono or dp) computes."""
+    if executor == "sdp":
+        return ddsmod.stochastic_dp(problem, rollouts=rollouts, seed=seed)
+    if executor == "chrono":
+        return ddsmod.chrono_solve(problem)
+    return ddsmod.exact_dp(problem)
 
 
 def cmd_dds_solve(args) -> int:
@@ -114,12 +115,7 @@ def cmd_dds_solve(args) -> int:
             "steps": [[repr(s), repr(x), r] for s, x, r in traj.steps],
         })
         return 0
-    if args.executor == "sdp":
-        vf = ddsmod.stochastic_dp(problem, rollouts=200, seed=seed)
-    elif args.executor == "chrono":
-        vf = ddsmod.chrono_solve(problem)
-    else:
-        vf = ddsmod.exact_dp(problem)
+    vf = _value_function(problem, args.executor, seed, rollouts=200)
     _write_text(args, "value_function.csv", vf.to_csv())
     _write_json(args, "solve.json", {
         "executor": args.executor,
@@ -149,22 +145,16 @@ def cmd_dds_compare(args) -> int:
 def cmd_cofo_run(args) -> int:
     problem = load_cofo(args.fixture) if args.fixture else two_hypothesis_problem()
     seed = _resolve_seed(args)
-    horizon = args.budget if args.budget is not None else 2
-    adapter = make_cofo_dds(problem, horizon, seed=seed)
+    adapter = make_cofo_dds(problem, args.budget)
     d0 = ()
     if args.executor == "greedy":
-        traj = ddsmod.greedy_run(adapter, d0, seed=seed)
-        value = traj.total
-    elif args.executor == "sdp":
-        vf = ddsmod.stochastic_dp(adapter, rollouts=100, seed=seed)
-        value = vf.value(1, adapter.state_key(d0))
-    elif args.executor == "chrono":
-        value = ddsmod.chrono_solve(adapter).value(1, adapter.state_key(d0))
+        value = ddsmod.greedy_run(adapter, d0, seed=seed).total
     else:
-        value = ddsmod.exact_dp(adapter).value(1, adapter.state_key(d0))
+        vf = _value_function(adapter, args.executor, seed, rollouts=100)
+        value = vf.value(1, adapter.state_key(d0))
     _write_json(args, "cofo_run.json", {
         "executor": args.executor,
-        "horizon": horizon,
+        "horizon": args.budget,
         "starting_quality": quality(problem, d0),
         "achievable_entropy_drop": value,
     })
@@ -178,8 +168,6 @@ def cmd_cofo_run(args) -> int:
 def _verify_suite(args, make_instance, verify) -> int:
     seed0 = _resolve_seed(args)
     want = args.instances
-    if want < 1:
-        raise FixtureError(f"--instances must be >= 1, got {want}")
     satisfied = 0
     violations = []
     skipped = 0
@@ -230,18 +218,10 @@ def cmd_relalg_verify_dp(args) -> int:
 # cog
 
 
-def _greedy_or_dp(args) -> str:
-    if args.executor not in ("greedy", "dp"):
-        raise FixtureError(f"cog {args.cmd} runs --executor greedy or dp, not {args.executor!r}")
-    return args.executor
-
-
 def cmd_cog_chain(args) -> int:
-    executor = _greedy_or_dp(args)
     kb = load_kb(args.fixture)
     rules = load_rules(args.rules) if args.rules else [deduction_rule()]
-    steps = args.budget if args.budget is not None else 3
-    res = forward_chain(kb, rules, steps, executor=executor)
+    res = forward_chain(kb, rules, args.budget, executor=args.executor)
     _write_json(args, "chain.json", {
         "statements": {f"{a}->{b}": _tv_dict(tv) for (a, b), tv in sorted(res.statements.items())},
         "trace": [
@@ -259,8 +239,7 @@ def cmd_cog_backchain(args) -> int:
     src, _, dst = args.target.partition(",")
     if not src or not dst:
         raise FixtureError(f"--target must look like SRC,DST, got {args.target!r}")
-    budget = args.budget if args.budget is not None else 5
-    tv, nodes = backward_chain_tv(kb, (src, dst), budget, seed=_resolve_seed(args))
+    tv, nodes = backward_chain_tv(kb, (src, dst), args.budget, seed=_resolve_seed(args))
     _write_json(args, "backchain.json", {
         "target": f"{src}->{dst}",
         "tv": _tv_dict(tv),
@@ -276,12 +255,11 @@ def cmd_cog_backchain(args) -> int:
 
 
 def cmd_cog_cluster(args) -> int:
-    executor = _greedy_or_dp(args)
     points, k = load_points(args.fixture)
     dist = lambda x, y: (
         (points[x][0] - points[y][0]) ** 2 + (points[x][1] - points[y][1]) ** 2
     ) ** 0.5
-    clustering = agglomerate(list(points), dist, k, executor)
+    clustering = agglomerate(list(points), dist, k, args.executor)
     _write_json(args, "clusters.json", {
         "blocks": sorted(sorted(b) for b in clustering.blocks),
         "quality": clustering.quality,
@@ -293,12 +271,9 @@ def cmd_cog_cluster(args) -> int:
 def cmd_cog_mine(args) -> int:
     kb = load_metagraph(args.fixture)
     view = kb.snapshot()
-    budget = args.budget if args.budget is not None else 5
-    if budget < 0:
-        raise FixtureError(f"--budget must be >= 0, got {budget}")
     types = sorted({e.type_label for e in view.edges() if len(e.targets) == 2})
     seeds = [conj((t, ("X", "Y"))) for t in types]
-    mined = mine_patterns(view, seeds, min_freq=args.min_freq, budget=budget)
+    mined = mine_patterns(view, seeds, min_freq=args.min_freq, budget=args.budget)
     _write_json(args, "mined.json", [
         {"kind": m.pattern.kind,
          "clauses": [[t, list(vs)] for t, vs in m.pattern.sorted_clauses],
@@ -313,10 +288,9 @@ def cmd_cog_evolve(args) -> int:
     import random as _random
 
     seed = _resolve_seed(args)
-    budget = args.budget if args.budget is not None else 2000
     rng = _random.Random(seed)
     pop0 = [tuple(rng.randint(0, 1) for _ in range(8)) for _ in range(20)]
-    res = evolve(one_max, pop0, budget=budget, seed=seed,
+    res = evolve(one_max, pop0, budget=args.budget, seed=seed,
                  mutate=point_mutation(1 / 8), crossover=uniform_crossover)
     _write_json(args, "evolve.json", {
         "best": list(res.best),
@@ -328,10 +302,9 @@ def cmd_cog_evolve(args) -> int:
 
 def cmd_cog_ecan(args) -> int:
     kb = load_metagraph(args.fixture)
-    steps = args.budget if args.budget is not None else 10
     if not 0 < args.quantum < math.inf:  # also rejects nan
         raise FixtureError(f"--quantum must be finite and > 0, got {args.quantum}")
-    res = ecan_run(kb.snapshot(), q=args.quantum, steps=steps, seed=_resolve_seed(args))
+    res = ecan_run(kb.snapshot(), q=args.quantum, steps=args.budget, seed=_resolve_seed(args))
     _write_json(args, "ecan.json", {
         "sti": {str(i): v for i, v in sorted(res.sti.items())},
         "transfers": len(res.transfers),
@@ -421,74 +394,83 @@ def cmd_morph_demo(args) -> int:
 # argument parsing
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than `low`."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return count
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--fixture", help="path to a JSON fixture")
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--out", default="out", help="artifact directory")
-    common.add_argument("--instances", type=int, default=100)
-    common.add_argument("--budget", type=int, default=None)
-    common.add_argument("--executor", choices=["greedy", "dp", "sdp", "chrono"],
-                        default="dp")
+    """The whole CLI contract: each command takes `--out` and exactly the
+    flags its handler reads, with their defaults and valid ranges."""
+    fixture = ("--fixture", {"help": "path to a JSON fixture"})
+    needs_fixture = ("--fixture", {"required": True, "help": "path to a JSON fixture"})
+    seed = ("--seed", {"type": int})
+    instances = ("--instances", {"type": _at_least(1), "default": 100})
+
+    def budget(default):
+        return ("--budget", {"type": _at_least(0), "default": default})
+
+    def executor(*names):
+        return ("--executor", {"choices": names, "default": "dp"})
+
+    any_executor, greedy_or_dp = executor("greedy", "dp", "sdp", "chrono"), executor("greedy", "dp")
 
     parser = argparse.ArgumentParser(prog="cogpat")
     top = parser.add_subparsers(dest="group", required=True)
 
-    def leaf(sub, name, handler, **extra):
-        p = sub.add_parser(name, parents=[common])
-        for flag, kw in extra.items():
+    def group(name):
+        return top.add_parser(name).add_subparsers(dest="cmd", required=True)
+
+    def leaf(sub, name, handler, *flags):
+        p = sub.add_parser(name)
+        for flag, kw in (("--out", {"default": "out", "help": "artifact directory"}), *flags):
             p.add_argument(flag, **kw)
         p.set_defaults(handler=handler)
 
-    dds_sub = top.add_parser("dds").add_subparsers(dest="cmd", required=True)
-    leaf(dds_sub, "solve", cmd_dds_solve)
-    leaf(dds_sub, "compare", cmd_dds_compare)
+    dds = group("dds")
+    leaf(dds, "solve", cmd_dds_solve, fixture, seed, any_executor)
+    leaf(dds, "compare", cmd_dds_compare, fixture, seed)
 
-    cofo_sub = top.add_parser("cofo").add_subparsers(dest="cmd", required=True)
-    leaf(cofo_sub, "run", cmd_cofo_run)
+    leaf(group("cofo"), "run", cmd_cofo_run, fixture, seed, budget(2), any_executor)
 
-    relalg_sub = top.add_parser("relalg").add_subparsers(dest="cmd", required=True)
-    leaf(relalg_sub, "verify-greedy", cmd_relalg_verify_greedy)
-    leaf(relalg_sub, "verify-dp", cmd_relalg_verify_dp)
+    relalg = group("relalg")
+    leaf(relalg, "verify-greedy", cmd_relalg_verify_greedy, seed, instances)
+    leaf(relalg, "verify-dp", cmd_relalg_verify_dp, seed, instances)
 
-    cog_sub = top.add_parser("cog").add_subparsers(dest="cmd", required=True)
-    leaf(cog_sub, "chain", cmd_cog_chain, **{"--rules": {"help": "rule set fixture"}})
-    leaf(cog_sub, "backchain", cmd_cog_backchain,
-         **{"--target": {"required": True, "help": "SRC,DST statement"}})
-    leaf(cog_sub, "cluster", cmd_cog_cluster)
-    leaf(cog_sub, "mine", cmd_cog_mine,
-         **{"--min-freq": {"type": float, "default": 0.05, "dest": "min_freq"}})
-    leaf(cog_sub, "evolve", cmd_cog_evolve)
-    leaf(cog_sub, "ecan", cmd_cog_ecan,
-         **{"--quantum": {"type": float, "default": 1.0}})
+    cog = group("cog")
+    leaf(cog, "chain", cmd_cog_chain, needs_fixture, budget(3), greedy_or_dp,
+         ("--rules", {"help": "rule set fixture"}))
+    leaf(cog, "backchain", cmd_cog_backchain, needs_fixture, seed, budget(5),
+         ("--target", {"required": True, "help": "SRC,DST statement"}))
+    leaf(cog, "cluster", cmd_cog_cluster, needs_fixture, greedy_or_dp)
+    leaf(cog, "mine", cmd_cog_mine, needs_fixture, budget(5),
+         ("--min-freq", {"type": float, "default": 0.05}))
+    leaf(cog, "evolve", cmd_cog_evolve, seed, budget(2000))
+    leaf(cog, "ecan", cmd_cog_ecan, needs_fixture, seed, budget(10),
+         ("--quantum", {"type": float, "default": 1.0}))
 
-    sp_sub = top.add_parser("subpattern").add_subparsers(dest="cmd", required=True)
-    leaf(sp_sub, "audit", cmd_subpattern_audit)
-    leaf(sp_sub, "dag", cmd_subpattern_dag)
-    leaf(sp_sub, "align", cmd_subpattern_align)
+    sp = group("subpattern")
+    leaf(sp, "audit", cmd_subpattern_audit, needs_fixture, seed)
+    leaf(sp, "dag", cmd_subpattern_dag, needs_fixture)
+    leaf(sp, "align", cmd_subpattern_align)
 
-    morph_sub = top.add_parser("morph").add_subparsers(dest="cmd", required=True)
-    leaf(morph_sub, "demo", cmd_morph_demo)
+    leaf(group("morph"), "demo", cmd_morph_demo)
 
     return parser
 
 
-_NEEDS_FIXTURE = {
-    cmd_cog_chain, cmd_cog_backchain, cmd_cog_cluster, cmd_cog_mine,
-    cmd_cog_ecan, cmd_subpattern_audit, cmd_subpattern_dag,
-}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
-        if args.handler in _NEEDS_FIXTURE and not args.fixture:
-            raise FixtureError("this command requires --fixture")
         return args.handler(args)
     except (FixtureError, CofoError, ddsmod.DdsError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -49,25 +49,22 @@ class CanonicalizationError(MgError):
 class TruthValue:
     """Strength / confidence pair with a beta-distribution second-order fit.
 
-    The evidence count is n = K*c/(1-c); the fitted beta parameters are
+    The evidence count is n = c/(1-c); the fitted beta parameters are
     a = s*n + 1 and b = (1-s)*n + 1, so both stay >= 1.
     """
 
     s: float
     c: float
-    k: float = 1.0
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.s <= 1.0):
             raise ValueError(f"strength out of [0,1]: {self.s}")
         if not (0.0 <= self.c < 1.0):
             raise ValueError(f"confidence out of [0,1): {self.c}")
-        if self.k <= 0:
-            raise ValueError(f"evidence scale must be positive: {self.k}")
 
     @property
     def n(self) -> float:
-        return self.k * self.c / (1.0 - self.c)
+        return self.c / (1.0 - self.c)
 
     @property
     def beta_params(self) -> tuple[float, float]:
@@ -81,14 +78,11 @@ class TruthValue:
         return TruthValue(s, n / (n + 1.0))
 
     def to_dict(self) -> dict:
-        d = {"s": self.s, "c": self.c}
-        if self.k != 1.0:
-            d["k"] = self.k
-        return d
+        return {"s": self.s, "c": self.c}
 
     @staticmethod
     def from_dict(d: Mapping[str, Any]) -> "TruthValue":
-        return TruthValue(d["s"], d["c"], d.get("k", 1.0))
+        return TruthValue(**d)
 
 
 IGNORANCE = TruthValue(0.5, 0.0)

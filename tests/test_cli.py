@@ -1,7 +1,9 @@
+import argparse
 import hashlib
 import json
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import cogpat
-from cogpat.cli import main
+from cogpat.cli import _build_parser, main
 from cogpat.dds import exact_dp
 from cogpat.fixtures import (
     FixtureError,
@@ -24,6 +26,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 REPO = FIXTURES.parent
 # SHA-256 of each README command's artifacts, keyed "<command>: <file>"
 README_PINS = Path(__file__).resolve().parent / "readme_artifacts.sha256.json"
+SOCIAL = ["--fixture", FIXTURES / "kb_social.json"]
 
 # runs each command (argv lists, JSON) in one process, output under argv[1]
 RUN_COMMANDS = """
@@ -126,7 +129,7 @@ class TestExitCodes:
     def test_greedy_or_dp_only(self, tmp_path, command, executor, capsys):
         assert run("cog", *command, "--executor", executor, "--out", tmp_path) == 2
         err = capsys.readouterr().err
-        assert f"cog {command[0]} runs --executor greedy or dp, not {executor!r}" in err
+        assert f"cogpat cog {command[0]}: error: argument --executor: invalid choice: {executor!r}" in err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("n, k, executor, message", [
@@ -142,14 +145,24 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, message", [
-        (["mine", "--budget", -1], "--budget must be >= 0, got -1"),
-        (["ecan", "--quantum", 0], "--quantum must be finite and > 0, got 0.0"),
-        (["ecan", "--quantum", "nan"], "--quantum must be finite and > 0, got nan"),
-        (["ecan", "--quantum", "inf"], "--quantum must be finite and > 0, got inf"),
+        (["cog", "mine", *SOCIAL, "--budget", -1], "argument --budget: must be >= 0, got -1"),
+        (["cog", "ecan", *SOCIAL, "--quantum", 0], "--quantum must be finite and > 0, got 0.0"),
+        (["cog", "ecan", *SOCIAL, "--quantum", "nan"], "--quantum must be finite and > 0, got nan"),
+        (["cog", "ecan", *SOCIAL, "--quantum", "inf"], "--quantum must be finite and > 0, got inf"),
+        *((argv + ["--budget", -3], "argument --budget: must be >= 0, got -3") for argv in (
+            ["cog", "evolve"], ["cog", "ecan", *SOCIAL], ["cofo", "run"],
+            ["cog", "chain", "--fixture", FIXTURES / "kb_two_hop.json"],
+            ["cog", "backchain", "--fixture", FIXTURES / "kb_two_hop.json", "--target", "A,C"])),
+        # a flag the command does not take
+        (["morph", "demo", "--seed", 3], "error: unrecognized arguments: --seed 3"),
+        (["cog", "mine", *SOCIAL, "--executor", "chrono"],
+         "error: unrecognized arguments: --executor chrono"),
+        (["subpattern", "align", "--fixture", "x.json"],
+         "error: unrecognized arguments: --fixture x.json"),
+        (["dds", "compare", "--executor", "sdp"], "error: unrecognized arguments: --executor sdp"),
     ])
     def test_cog_usage_error(self, tmp_path, command, message, capsys):
-        assert run("cog", *command, "--fixture", FIXTURES / "kb_social.json",
-                   "--out", tmp_path) == 2
+        assert run(*command, "--out", tmp_path) == 2
         assert message in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
@@ -208,13 +221,14 @@ class TestExitCodes:
     @pytest.mark.parametrize("n", [0, -3])
     def test_empty_verify_suite(self, tmp_path, suite, n, capsys):
         assert run("relalg", suite, "--instances", n, "--out", tmp_path) == 2
-        assert f"error: --instances must be >= 1, got {n}" in capsys.readouterr().err
+        assert f"error: argument --instances: must be >= 1, got {n}" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("field, bad, message", [
         ("id", -1, "atom id -1 is not a non-negative integer"),
         ("id", 1.5, "atom id 1.5 is not a non-negative integer"),
         ("targets", [0.0, 1], "target 0.0 is not an integer"),
+        ("tv", {"s": 0.5, "c": 0.5, "k": 2.0}, "unexpected keyword argument 'k'"),
     ])
     def test_mine_rejects_malformed_ids(self, tmp_path, field, bad, message, capsys):
         data = json.loads((FIXTURES / "kb_social.json").read_text())
@@ -324,6 +338,47 @@ def readme_commands() -> list:
             assert argv[-2:] == ["--out", "out"]
             commands.append(argv[:-2])
     return commands
+
+
+def leaf_parsers() -> dict:
+    """'group command' -> that command's argparse parser."""
+    def sub(p):
+        return next(a.choices for a in p._actions if isinstance(a, argparse._SubParsersAction))
+    return {f"{g} {c}": leaf for g, gp in sub(_build_parser()).items() for c, leaf in sub(gp).items()}
+
+
+# a README flag-table entry: `--flag`, then its default, then a note in parentheses
+FLAG_ENTRY = re.compile(r"`(--[a-z-]+)`(?: ([^ ,(]+))?(?: \(([^)]*)\))?")
+
+
+class TestCliContract:
+    def test_readme_flag_table_matches_parser(self):
+        table = {}
+        for line in (REPO / "README.md").read_text().splitlines():
+            if line.startswith("| `"):
+                commands, flags = line.strip("| ").split(" | ")
+                table.update((c, flags) for c in re.findall(r"`([a-z]+ [a-z-]+)`", commands))
+        leaves = leaf_parsers()
+        assert len(leaves) == 15 and table.keys() == leaves.keys()
+        for command, flags in table.items():
+            actions = {a.option_strings[-1]: a for a in leaves[command]._actions
+                       if not isinstance(a, argparse._HelpAction)}
+            assert actions.pop("--out").default == "out"
+            entries = FLAG_ENTRY.findall(flags)
+            assert (flags == "none") != bool(entries), command
+            assert sorted(flag for flag, _, _ in entries) == sorted(actions), command
+            for flag, default, note in entries:
+                action, where = actions[flag], (command, flag)
+                assert action.required == (note == "required"), where
+                assert ("" if action.default is None else str(action.default)) == default, where
+                assert action.choices == (tuple(note.split("/")) if "/" in note else None), where
+                if note.startswith("at least "):
+                    low = int(note.removeprefix("at least "))
+                    assert action.type(str(low)) == low, where
+                    with pytest.raises(argparse.ArgumentTypeError):
+                        action.type(str(low - 1))
+                else:
+                    assert action.type in (None, int, float), where
 
 
 def tree_bytes(root: Path) -> dict:

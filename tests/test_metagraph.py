@@ -42,10 +42,6 @@ class TestTruthValue:
         with pytest.raises(ValueError):
             TruthValue(0.5, 1.0)
 
-    def test_evidence_scaling_constant(self):
-        tv = TruthValue(0.5, 0.5, k=10.0)
-        assert tv.n == pytest.approx(10.0)
-
     def test_from_count_roundtrip(self):
         tv = TruthValue.from_count(0.7, 3.0)
         assert tv.n == pytest.approx(3.0)
