@@ -2,8 +2,7 @@
 verification suite, with deterministic JSON/CSV artifacts.
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage or fixture
-error.  The seed defaults to 42; the COGPAT_SEED environment variable
-overrides the default only when --seed is absent.
+error.  The seed defaults to 42.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -58,23 +56,8 @@ from .subpattern import (
     disjoint_union,
 )
 
-DEFAULT_SEED = 42
-
-
 class CheckFailure(Exception):
     """A verification suite reported violations; exit code 1."""
-
-
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("COGPAT_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise FixtureError(f"COGPAT_SEED must be an integer, got {env!r}")
-    return DEFAULT_SEED
 
 
 def _write_text(args, name: str, text: str) -> None:
@@ -106,16 +89,15 @@ def _value_function(problem, executor: str, seed: int, rollouts: int):
 
 def cmd_dds_solve(args) -> int:
     problem = load_dds(args.fixture) if args.fixture else ddsmod.gd1()
-    seed = _resolve_seed(args)
     s0 = problem.states(1)[0]
     if args.executor == "greedy":
-        traj = ddsmod.greedy_run(problem, s0, seed=seed)
+        traj = ddsmod.greedy_run(problem, s0, seed=args.seed)
         _write_json(args, "solve.json", {
             "executor": "greedy", "total": traj.total,
             "steps": [[repr(s), repr(x), r] for s, x, r in traj.steps],
         })
         return 0
-    vf = _value_function(problem, args.executor, seed, rollouts=200)
+    vf = _value_function(problem, args.executor, args.seed, rollouts=200)
     _write_text(args, "value_function.csv", vf.to_csv())
     _write_json(args, "solve.json", {
         "executor": args.executor,
@@ -127,9 +109,8 @@ def cmd_dds_solve(args) -> int:
 
 def cmd_dds_compare(args) -> int:
     problem = load_dds(args.fixture) if args.fixture else ddsmod.gd1()
-    seed = _resolve_seed(args)
     s0 = problem.states(1)[0]
-    greedy_total = ddsmod.greedy_run(problem, s0, seed=seed).total
+    greedy_total = ddsmod.greedy_run(problem, s0, seed=args.seed).total
     exact_value = ddsmod.exact_dp(problem).value(1, problem.state_key(s0))
     rows = [("greedy", greedy_total), ("exact", exact_value)]
     _write_text(args, "compare.csv", "method,value\n" + "".join(
@@ -144,13 +125,12 @@ def cmd_dds_compare(args) -> int:
 
 def cmd_cofo_run(args) -> int:
     problem = load_cofo(args.fixture) if args.fixture else two_hypothesis_problem()
-    seed = _resolve_seed(args)
     adapter = make_cofo_dds(problem, args.budget)
     d0 = ()
     if args.executor == "greedy":
-        value = ddsmod.greedy_run(adapter, d0, seed=seed).total
+        value = ddsmod.greedy_run(adapter, d0, seed=args.seed).total
     else:
-        vf = _value_function(adapter, args.executor, seed, rollouts=100)
+        vf = _value_function(adapter, args.executor, args.seed, rollouts=100)
         value = vf.value(1, adapter.state_key(d0))
     _write_json(args, "cofo_run.json", {
         "executor": args.executor,
@@ -166,8 +146,7 @@ def cmd_cofo_run(args) -> int:
 
 
 def _verify_suite(args, make_instance, verify) -> int:
-    seed0 = _resolve_seed(args)
-    want = args.instances
+    seed0, want = args.seed, args.instances
     satisfied = 0
     violations = []
     skipped = 0
@@ -239,7 +218,7 @@ def cmd_cog_backchain(args) -> int:
     src, _, dst = args.target.partition(",")
     if not src or not dst:
         raise FixtureError(f"--target must look like SRC,DST, got {args.target!r}")
-    tv, nodes = backward_chain_tv(kb, (src, dst), args.budget, seed=_resolve_seed(args))
+    tv, nodes = backward_chain_tv(kb, (src, dst), args.budget, seed=args.seed)
     _write_json(args, "backchain.json", {
         "target": f"{src}->{dst}",
         "tv": _tv_dict(tv),
@@ -270,6 +249,8 @@ def cmd_cog_cluster(args) -> int:
 
 def cmd_cog_mine(args) -> int:
     kb = load_metagraph(args.fixture)
+    if not 0 <= args.min_freq <= 1:  # also rejects nan
+        raise FixtureError(f"--min-freq must be between 0 and 1, got {args.min_freq}")
     view = kb.snapshot()
     types = sorted({e.type_label for e in view.edges() if len(e.targets) == 2})
     seeds = [conj((t, ("X", "Y"))) for t in types]
@@ -287,10 +268,9 @@ def cmd_cog_mine(args) -> int:
 def cmd_cog_evolve(args) -> int:
     import random as _random
 
-    seed = _resolve_seed(args)
-    rng = _random.Random(seed)
+    rng = _random.Random(args.seed)
     pop0 = [tuple(rng.randint(0, 1) for _ in range(8)) for _ in range(20)]
-    res = evolve(one_max, pop0, budget=args.budget, seed=seed,
+    res = evolve(one_max, pop0, budget=args.budget, seed=args.seed,
                  mutate=point_mutation(1 / 8), crossover=uniform_crossover)
     _write_json(args, "evolve.json", {
         "best": list(res.best),
@@ -304,7 +284,7 @@ def cmd_cog_ecan(args) -> int:
     kb = load_metagraph(args.fixture)
     if not 0 < args.quantum < math.inf:  # also rejects nan
         raise FixtureError(f"--quantum must be finite and > 0, got {args.quantum}")
-    res = ecan_run(kb.snapshot(), q=args.quantum, steps=args.budget, seed=_resolve_seed(args))
+    res = ecan_run(kb.snapshot(), q=args.quantum, steps=args.budget, seed=args.seed)
     _write_json(args, "ecan.json", {
         "sti": {str(i): v for i, v in sorted(res.sti.items())},
         "transfers": len(res.transfers),
@@ -319,7 +299,7 @@ def cmd_cog_ecan(args) -> int:
 
 def cmd_subpattern_audit(args) -> int:
     items, ops, _sm = load_subpattern(args.fixture)
-    report = check_mutual_associativity(ops, items, seed=_resolve_seed(args))
+    report = check_mutual_associativity(ops, items, seed=args.seed)
     _write_json(args, "audit.json", report.to_dict())
     if not report.passed:
         raise CheckFailure(f"mutual associativity fails, witness {report.witness!r}")
@@ -410,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     flags its handler reads, with their defaults and valid ranges."""
     fixture = ("--fixture", {"help": "path to a JSON fixture"})
     needs_fixture = ("--fixture", {"required": True, "help": "path to a JSON fixture"})
-    seed = ("--seed", {"type": int})
+    seed = ("--seed", {"type": int, "default": 42})
     instances = ("--instances", {"type": _at_least(1), "default": 100})
 
     def budget(default):

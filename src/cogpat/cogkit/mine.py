@@ -11,13 +11,18 @@ clauses bind variables one after another over an index of the edges by
 (type, source), in the manner of Generic Join, and the count from each
 partial binding is memoized on the variables later clauses still use, so
 the work follows the distinct partial bindings, not the tuples.
+
+Mining is declared as a decision process (state, actions, successor,
+reward) and run by `dds.greedy`, as clustering is.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
+from ..dds import greedy
 from ..metagraph import TypedMetagraph, as_view
 from ..morphisms import memo_recurse
 
@@ -158,58 +163,51 @@ def _pattern_key(p: Pattern) -> tuple:
     return (p.kind, p.sorted_clauses)  # unlike repr, free of hash order
 
 
-def _fresh_var(pattern: Pattern) -> str:
-    used = {v for _, vs in pattern.clauses for v in vs}
-    i = 0
-    while f"v{i}" in used:
-        i += 1
-    return f"v{i}"
+# `greedy` takes the first best action in key order, so patterns sort by
+# descending key; a pass (None) is only ever the sole action, never compared
+_largest_key_first = functools.cmp_to_key(
+    lambda p, q: (_pattern_key(p) < _pattern_key(q)) - (_pattern_key(p) > _pattern_key(q)))
+
+
+def _fresh_var(used) -> str:
+    return next(f"v{i}" for i in itertools.count() if f"v{i}" not in used)
 
 
 def mine_patterns(view, seeds, min_freq: float, budget: int) -> list[MinedPattern]:
-    """Grow a pattern pool: per round, expand an existing pattern (extend a
-    conjunction with a chained clause, or combine two same-kind patterns),
-    keep the result if frequent enough, reward = pool quality increase."""
+    """Grow a pattern pool by `dds.greedy` over `budget` steps.  The state
+    is the pool (the seeds, deduplicated in order, then each pattern
+    chosen); an action pools an expansion (a conjunction extended by a
+    chained clause, or two same-kind patterns combined) at least `min_freq`
+    frequent and earns its frequency, ties to the largest key, and with no
+    such expansion the one action, None, passes.  Each distinct pattern is
+    joined once per call."""
     if budget < 0:
         raise ValueError("budget must be >= 0")
     view = as_view(view)
     edge_types = sorted({e.type_label for e in _kb_edges(view)})
+    frequency = functools.cache(lambda p: pattern_frequency(view, p))
 
-    def score(p: Pattern) -> MinedPattern:
-        freq = pattern_frequency(view, p)
-        return MinedPattern(p, freq, _surprisingness(view, p, freq))
-
-    pool: dict[Pattern, MinedPattern] = {}
-    for s in seeds:
-        pool[s] = score(s)
-
-    def candidates():
-        out = []
+    @functools.cache  # a pass revisits its pool
+    def expansions(pool):
+        out = [p.combine(q) for p, q in itertools.combinations(pool, 2) if p.kind == q.kind]
         for p in pool:
-            if p.kind == "conj":
-                # chain a fresh clause off each variable already in play
-                fresh = _fresh_var(p)
-                for etype in edge_types:
-                    for _, vs in sorted(p.clauses):
-                        for v in vs:
-                            out.append(p.combine(conj((etype, (v, fresh)))))
-                            out.append(p.combine(conj((etype, (fresh, v)))))
-        for p, q in itertools.combinations(sorted(pool, key=_pattern_key), 2):
-            if p.kind == q.kind:
-                out.append(p.combine(q))
-        return [c for c in out if c not in pool]
+            if p.kind == "conj":  # chain a fresh clause off each variable in play
+                used = sorted({v for _, vs in p.clauses for v in vs})
+                fresh = _fresh_var(used)
+                out += [p.combine(conj((etype, pair))) for etype in edge_types for v in used
+                        for pair in ((v, fresh), (fresh, v))]
+        return [c for c in dict.fromkeys(out) if c not in pool and frequency(c) >= min_freq]
 
-    for _ in range(budget):
-        cands = candidates()
-        if not cands:
-            break
-        scored = [score(c) for c in cands]
-        keepable = [m for m in scored if m.frequency >= min_freq]
-        if not keepable:
-            break
-        chosen = max(keepable, key=lambda m: (m.frequency, _pattern_key(m.pattern)))
-        pool[chosen.pattern] = chosen
+    _, pool = greedy(
+        start=tuple(dict.fromkeys(seeds)),
+        horizon=budget,
+        actions=lambda t, pool: expansions(pool) or [None],
+        successor=lambda pool, p: pool if p is None else pool + (p,),
+        reward=lambda t, pool, p: 0.0 if p is None else frequency(p),
+        action_key=_largest_key_first,
+    )
     return sorted(
-        (m for m in pool.values() if m.frequency >= min_freq),
+        (MinedPattern(p, frequency(p), _surprisingness(view, p, frequency(p)))
+         for p in pool if frequency(p) >= min_freq),
         key=lambda m: (-m.frequency, _pattern_key(m.pattern)),
     )

@@ -160,6 +160,10 @@ class TestExitCodes:
         (["subpattern", "align", "--fixture", "x.json"],
          "error: unrecognized arguments: --fixture x.json"),
         (["dds", "compare", "--executor", "sdp"], "error: unrecognized arguments: --executor sdp"),
+        # a threshold outside [0, 1]
+        *((["cog", "mine", *SOCIAL, "--min-freq", value],
+           f"--min-freq must be between 0 and 1, got {float(value)}")
+          for value in ("nan", "2", "-1", "1.0000001", "inf")),
     ])
     def test_cog_usage_error(self, tmp_path, command, message, capsys):
         assert run(*command, "--out", tmp_path) == 2
@@ -319,13 +323,13 @@ class TestDeterminism:
         assert (a / "evolve.json").read_bytes() == (b / "evolve.json").read_bytes()
         assert (a / "cofo_run.json").read_bytes() == (b / "cofo_run.json").read_bytes()
 
-    def test_env_seed_used_when_flag_absent(self, tmp_path, monkeypatch):
+    def test_seed_env_variable_has_no_effect(self, tmp_path, monkeypatch):
         a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
-        monkeypatch.setenv("COGPAT_SEED", "9")
         assert run("cog", "evolve", "--budget", 300, "--out", a) == 0
-        assert run("cog", "evolve", "--budget", 300, "--seed", 9, "--out", b) == 0
-        monkeypatch.setenv("COGPAT_SEED", "10")
-        assert run("cog", "evolve", "--budget", 300, "--seed", 9, "--out", c) == 0
+        monkeypatch.setenv("COGPAT_SEED", "9")
+        assert run("cog", "evolve", "--budget", 300, "--out", b) == 0
+        monkeypatch.setenv("COGPAT_SEED", "not a number")
+        assert run("cog", "evolve", "--budget", 300, "--seed", 42, "--out", c) == 0
         assert (a / "evolve.json").read_bytes() == (b / "evolve.json").read_bytes()
         assert (b / "evolve.json").read_bytes() == (c / "evolve.json").read_bytes()
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cogpat.metagraph import TruthValue, TypedMetagraph
 from cogpat.cogkit import (
+    MinedPattern,
     Pattern,
     SingularityError,
     agglomerate,
@@ -550,8 +551,12 @@ class TestPatternMining:
                             lambda v, pat: calls.append(pat) or real(v, pat))
         mine_patterns(view, seeds, min_freq=0.0, budget=0)
         assert calls == seeds
+        calls.clear()
+        mined = mine_patterns(view, seeds, min_freq=0.0, budget=4)
+        assert len(mined) == 6 and len(calls) > len(mined)
+        assert len(set(calls)) == len(calls)  # no candidate is joined again
         # the frequency reused for surprisingness gives the public value
-        for m in mine_patterns(view, seeds, min_freq=0.0, budget=4):
+        for m in mined:
             assert m.surprisingness == pattern_surprisingness(view, m.pattern)
 
     def test_min_freq_filters(self):
@@ -562,6 +567,106 @@ class TestPatternMining:
     def test_mixed_kind_combination_rejected(self):
         with pytest.raises(ValueError):
             conj(("a", ("X", "Y"))).combine(disj(("b", ("X", "Y"))))
+
+    @staticmethod
+    def old_mine_patterns(view, seeds, min_freq, budget):
+        """The selection loop `mine_patterns` ran before it ran `dds.greedy`:
+        per round, score every expansion of the pool not yet in it and keep
+        the most frequent one at least `min_freq`, ties to the largest
+        (kind, sorted clauses) key; stop when none is left."""
+        key = lambda p: (p.kind, p.sorted_clauses)
+        edge_types = sorted({e.type_label for e in view.edges() if len(e.targets) == 2})
+
+        def score(p):
+            freq = pattern_frequency(view, p)
+            return freq, pattern_surprisingness(view, p)
+
+        def fresh_var(p):
+            used = {v for _, vs in p.clauses for v in vs}
+            return next(f"v{i}" for i in itertools.count() if f"v{i}" not in used)
+
+        pool = {s: score(s) for s in seeds}
+        for _ in range(budget):
+            cands = []
+            for p in pool:
+                if p.kind == "conj":
+                    fresh = fresh_var(p)
+                    for etype in edge_types:
+                        for _, vs in sorted(p.clauses):
+                            for v in vs:
+                                cands.append(p.combine(conj((etype, (v, fresh)))))
+                                cands.append(p.combine(conj((etype, (fresh, v)))))
+            for p, q in itertools.combinations(sorted(pool, key=key), 2):
+                if p.kind == q.kind:
+                    cands.append(p.combine(q))
+            keepable = [(score(c), c) for c in cands if c not in pool]
+            keepable = [(s, c) for s, c in keepable if s[0] >= min_freq]
+            if not keepable:
+                break
+            s, chosen = max(keepable, key=lambda sc: (sc[0][0], key(sc[1])))
+            pool[chosen] = s
+        return sorted(
+            (MinedPattern(p, f, sur) for p, (f, sur) in pool.items() if f >= min_freq),
+            key=lambda m: (-m.frequency, key(m.pattern)),
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_nodes=st.integers(1, 6),
+        # self-loops and parallel edges allowed; type "c" may be absent
+        edges=st.lists(
+            st.tuples(st.sampled_from("abc"), st.integers(0, 5), st.integers(0, 5)),
+            min_size=1, max_size=10,
+        ),
+        # repeated seeds and disjunction seeds included
+        seeds=st.lists(st.tuples(st.sampled_from(["conj", "disj"]), st.sampled_from("abc")),
+                       min_size=1, max_size=4),
+        min_freq=st.sampled_from([-1.0, 0.0, 0.05, 0.2, 0.5, 1.0]),
+        budget=st.integers(0, 4),
+    )
+    def test_matches_old_loop(self, n_nodes, edges, seeds, min_freq, budget):
+        mg = TypedMetagraph()
+        ns = [mg.add_node("N") for _ in range(n_nodes)]
+        for etype, a, b in edges:
+            mg.add_edge(etype, [ns[a % n_nodes], ns[b % n_nodes]])
+        view = mg.snapshot()
+        seeds = [Pattern(kind, frozenset({(t, ("X", "Y"))})) for kind, t in seeds]
+        assert (mine_patterns(view, seeds, min_freq, budget)
+                == self.old_mine_patterns(view, seeds, min_freq, budget))
+
+
+def _typed_kb(seed: int):
+    """A seeded kb of 4-6 nodes and 6-14 binary edges of 1-3 types between
+    distinct nodes, and its seed patterns: one conjunction per type and a
+    disjunction of the first type."""
+    rng = random.Random(seed)
+    mg = TypedMetagraph()
+    ns = [mg.add_node("N") for _ in range(rng.randint(4, 6))]
+    types = [f"t{i}" for i in range(rng.randint(1, 3))]
+    for _ in range(rng.randint(6, 14)):
+        mg.add_edge(rng.choice(types), rng.sample(ns, 2))
+    view = mg.snapshot()
+    present = sorted({e.type_label for e in view.edges()})
+    return view, [conj((t, ("X", "Y"))) for t in present] + [disj((present[0], ("X", "Y")))]
+
+
+# SHA-256 of the canonical JSON below, as the mining code wrote it before
+# mining moved onto dds.greedy
+PINNED_MINING = "9c5322441ba50bbb9f3a9fc5cf1bb31af55807cbb8ab58870c11fbf4b8ac1802"
+
+
+def test_seeded_mining_output_pinned():
+    out = []
+    for kb_seed in range(8):
+        view, seeds = _typed_kb(kb_seed)
+        for budget in (0, 1, 3, 5):
+            for min_freq in (0.0, 0.05, 0.2):
+                mined = mine_patterns(view, seeds, min_freq, budget)
+                out.append([kb_seed, budget, min_freq, [
+                    [m.pattern.kind, [[t, list(vs)] for t, vs in m.pattern.sorted_clauses],
+                     m.frequency, m.surprisingness] for m in mined]])
+    blob = json.dumps(out, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == PINNED_MINING
 
 
 class TestEvolve:

@@ -485,6 +485,30 @@ class TestLocalSearch:
         assert taken == [0, 0, 0]
         assert end == 0
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_greedy_theorem_on_random_graphs(self, data):
+        """The greedy theorem checked empirically: greedy ends no higher
+        than `plan`, and where `single_peak_audit` holds (no point below the
+        top is without a strictly better neighbour) it ends as high."""
+        n = data.draw(st.integers(1, 6), "nodes")
+        mg = TypedMetagraph()
+        nodes = [mg.add_node("N") for _ in range(n)]
+        for i, j in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                       max_size=10), "edges"):
+            mg.add_edge("E", [nodes[i], nodes[j]])
+        view = mg.snapshot()
+        values = data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n), "objective")
+        objective = {a: float(v) for a, v in zip(nodes, values)}.get
+        start = data.draw(st.sampled_from(nodes), "start")
+        horizon = data.draw(st.integers(n, n + 2), "horizon")
+        decl = local_search(view, objective)
+        _, greedy_end = greedy(start, horizon, **decl)
+        _, plan_end = plan(start, horizon, **decl)
+        assert objective(greedy_end) <= objective(plan_end)
+        if single_peak_audit(nodes, node_neighbors(view), objective):
+            assert objective(greedy_end) == objective(plan_end)
+
 
 class TestValueFunctionExport:
     def test_csv_rows(self):
