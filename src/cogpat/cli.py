@@ -384,6 +384,22 @@ def _at_least(low: int):
     return count
 
 
+# Flags that take a float.  argparse would read a value such as "-inf",
+# "-nan" or "-1e5" after one as a flag of its own, so a single-dash token
+# there is attached as "--flag=value" and reaches the flag's range check.
+_FLOAT_FLAGS = ("--min-freq", "--quantum")
+
+
+def _attach_float_values(argv: list) -> list:
+    out = []
+    for token in argv:
+        if out and out[-1] in _FLOAT_FLAGS and token[:1] == "-" and token[1:2] != "-":
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The whole CLI contract: each command takes `--out` and exactly the
@@ -447,7 +463,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(
+            _attach_float_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:

@@ -7,7 +7,6 @@ from .pln import (
     SingularityError,
     cwig,
     deduction,
-    induction,
     inversion,
 )
 from .chain import (
@@ -43,7 +42,7 @@ from .evolve import EvolveResult, evolve, one_max, point_mutation, uniform_cross
 from .ecan import EcanResult, ecan_run
 
 __all__ = [
-    "PlnError", "SingularityError", "cwig", "deduction", "induction", "inversion",
+    "PlnError", "SingularityError", "cwig", "deduction", "inversion",
     "BidNode", "ChainResult", "Rule", "backward_chain_tv",
     "deduction_rule", "forward_chain", "implication_kb", "inversion_rule",
     "rule_roundtrip_audit",

@@ -6,6 +6,12 @@ and "implies" edges between them.  Forward chaining repeatedly applies
 inference rules, scoring each conclusion by the information it adds over the
 kb's current belief.  Backward chaining grows an inference dag from a query
 statement toward kb leaves and reads the query's truth value off the root.
+
+Greedy forward chaining keeps one `StepSet` by delta (semi-naive
+evaluation): a conclusion re-instantiates the instances that use it as a
+premise and re-scores those that conclude it.  Invariant: the kept set
+equals a from-scratch rebuild over the same model, zero-reward instances
+included, since a later conclusion can make their reward positive.
 """
 
 from __future__ import annotations
@@ -75,7 +81,8 @@ class KbModel:
 @dataclass
 class Rule:
     name: str
-    # instantiate(model) yields (premise keys tuple, conclusion key, tv)
+    # instantiate(model, premise=None) yields (premise keys tuple, conclusion
+    # key, tv), each instance once; given a premise key, only those using it
     instantiate: Callable
     reversible: bool = False
     # unapply(model, conclusion key, tv) -> (premise key, tv) for the audit
@@ -83,26 +90,30 @@ class Rule:
 
 
 def deduction_rule() -> Rule:
-    def instantiate(model: KbModel):
-        stmts = sorted(model.stmts.items())
-        for (a, b), ab in stmts:
-            for (b2, c), bc in stmts:
-                if b2 != b or c == a or (a, b) == (b2, c):
-                    continue
-                try:
-                    tv = deduction(ab, bc, model.priors[b], model.priors[c])
-                except SingularityError:
-                    continue
-                yield ((a, b), (b, c)), (a, c), tv
+    def instantiate(model: KbModel, premise=None):
+        stmts = model.stmts
+        if premise is None:
+            pairs = [(ab, bc) for ab in stmts for bc in stmts if ab[1] == bc[0]]
+        else:
+            pairs = ([(premise, bc) for bc in stmts if bc[0] == premise[1]]
+                     + [(ab, premise) for ab in stmts if ab[1] == premise[0]])
+        for (a, b), (_, c) in pairs:
+            if c == a:
+                continue
+            try:
+                tv = deduction(stmts[(a, b)], stmts[(b, c)], model.priors[b], model.priors[c])
+            except SingularityError:
+                continue
+            yield ((a, b), (b, c)), (a, c), tv
 
     return Rule("deduction", instantiate)
 
 
 def inversion_rule() -> Rule:
-    def instantiate(model: KbModel):
-        for (a, b), ab in sorted(model.stmts.items()):
+    def instantiate(model: KbModel, premise=None):
+        for a, b in model.stmts if premise is None else (premise,):
             try:
-                tv = inversion(ab, model.priors[a], model.priors[b])
+                tv = inversion(model.stmts[(a, b)], model.priors[a], model.priors[b])
             except SingularityError:
                 continue
             yield ((a, b),), (b, a), tv
@@ -140,17 +151,49 @@ class ChainResult:
 PASS = ((), "pass", None, None, 0.0)
 
 
+class StepSet:
+    """Every rule instance over a model, zero rewards included: `steps` maps
+    (premises, rule name, conclusion) to (tv, reward).  `apply` keeps it by
+    delta."""
+
+    def __init__(self, model: KbModel, rules):
+        self.model, self.rules, self.steps = model, rules, {}
+        self._instantiate(None)
+
+    def _instantiate(self, premise) -> None:
+        for rule in self.rules:
+            for premises, conclusion, tv in rule.instantiate(self.model, premise):
+                self.steps[(premises, rule.name, conclusion)] = (tv, cwig(self.model.belief(conclusion), tv))
+
+    def apply(self, conclusion, tv) -> None:
+        """Conclude `conclusion` with `tv`: re-instantiate the instances
+        that have it as a premise and re-score those that conclude it, whose
+        prior belief changed."""
+        self.model = _apply(self.model, conclusion, tv)
+        steps = self.steps
+        for key in list(steps):
+            if conclusion in key[0]:
+                del steps[key]
+            elif key[2] == conclusion:
+                step_tv = steps[key][0]
+                steps[key] = (step_tv, cwig(tv, step_tv))
+        self._instantiate(conclusion)
+
+    def best(self) -> tuple:
+        """The step with the highest positive reward, ties to the lowest key;
+        PASS when none has one."""
+        top = max((reward for _, reward in self.steps.values()), default=0.0)
+        if top <= 0.0:
+            return PASS
+        key = min(key for key, (_, reward) in self.steps.items() if reward == top)
+        return (*key, *self.steps[key])
+
+
 def _candidates(model: KbModel, rules) -> list:
     """The steps worth taking from `model`, those with positive reward, in
-    key order."""
-    out = []
-    for rule in rules:
-        for premises, conclusion, tv in rule.instantiate(model):
-            reward = cwig(model.belief(conclusion), tv)
-            if reward > 0.0:
-                out.append((premises, rule.name, conclusion, tv, reward))
-    out.sort(key=lambda c: (c[0], c[1], c[2]))
-    return out
+    key order: the live part of a from-scratch `StepSet`."""
+    steps = StepSet(model, rules).steps
+    return [(*key, *steps[key]) for key in sorted(steps) if steps[key][1] > 0.0]
 
 
 def _apply(model: KbModel, conclusion, tv) -> KbModel:
@@ -182,15 +225,13 @@ def forward_chain(kb, rules, steps: int, executor: str = "greedy") -> ChainResul
         return _forward_chain_dds(model, rules, steps)
     if executor not in ("greedy", "dp"):
         raise ValueError(f"unknown executor {executor!r}")
-    taken = []
-    m = model
+    kept, taken = StepSet(model, rules), []
     for _ in range(steps):
-        # max returns the first of tied candidates; candidates are key-sorted
-        step = max(_candidates(m, rules), key=lambda c: c[4], default=PASS)
+        step = kept.best()
         taken.append(step)
-        if step is PASS:
+        if step is PASS or len(taken) == steps:
             break
-        m = _apply(m, step[2], step[3])
+        kept.apply(step[2], step[3])
     return _replay(model, taken)
 
 

@@ -43,13 +43,6 @@ def inversion(ab: TruthValue, a_prior: float, b_prior: float) -> TruthValue:
     return TruthValue.from_count(_clamp01(s), ab.n)
 
 
-def induction(ba: TruthValue, bc: TruthValue, a_prior: float, b_prior: float,
-              c_prior: float) -> TruthValue:
-    """From B->A and B->C infer A->C: invert the first premise, then chain."""
-    ab = inversion(ba, b_prior, a_prior)
-    return deduction(ab, bc, b_prior, c_prior)
-
-
 def _digamma(x: float) -> float:
     """psi(x) for x >= 1: recur up past 6, then the asymptotic series."""
     shift = 0.0

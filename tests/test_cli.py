@@ -163,7 +163,11 @@ class TestExitCodes:
         # a threshold outside [0, 1]
         *((["cog", "mine", *SOCIAL, "--min-freq", value],
            f"--min-freq must be between 0 and 1, got {float(value)}")
-          for value in ("nan", "2", "-1", "1.0000001", "inf")),
+          for value in ("nan", "2", "-1", "1.0000001", "inf", "-inf", "-nan", "-1e5")),
+        # a value argparse would read as a flag reaches the range check
+        *((["cog", "ecan", *SOCIAL, "--quantum", value],
+           f"--quantum must be finite and > 0, got {float(value)}")
+          for value in ("-inf", "-nan", "-1e5")),
     ])
     def test_cog_usage_error(self, tmp_path, command, message, capsys):
         assert run(*command, "--out", tmp_path) == 2

@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cogpat.metagraph import TruthValue, TypedMetagraph
 from cogpat.cogkit import (
@@ -37,8 +37,8 @@ from cogpat.cogkit import (
     rule_roundtrip_audit,
     uniform_crossover,
 )
-from cogpat.cogkit import mine
-from cogpat.cogkit.chain import BidNode, KbModel
+from cogpat.cogkit import chain as chain_module, mine
+from cogpat.cogkit.chain import PASS, BidNode, KbModel, StepSet, _apply, _candidates
 from cogpat.cogkit.pln import _digamma
 from cogpat.metagraph import canonical_form
 
@@ -219,6 +219,90 @@ class TestForwardChain:
         mg.set_tv(b, TruthValue(0.5, 0.9))
         with pytest.raises(ValueError, match=r"^edge 4 \('implies'\) has no truth value$"):
             chain(mg)
+
+
+def _bits(steps: dict) -> list:
+    return [(key, tv.s.hex(), tv.c.hex(), reward.hex()) for key, (tv, reward) in sorted(steps.items())]
+
+
+@st.composite
+def small_kbs(draw):
+    """Kbs of up to 8 concepts, self-loops allowed, with priors and
+    strengths at 0 and 1 among them so that both rules hit singular terms."""
+    names = [f"C{i}" for i in range(draw(st.integers(2, 8)))]
+    unit = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    confidence = st.floats(0.0, 0.95)
+    nodes = {n: (draw(unit), draw(confidence)) for n in names}
+    pairs = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)),
+                          min_size=1, max_size=3 * len(names), unique=True))
+    return implication_kb(nodes, [(a, b, draw(unit), draw(confidence)) for a, b in pairs])
+
+
+# the first step overwrites A->B with the inversion of B->A; C's prior of 1
+# makes deduction through C singular, D's prior of 0 inversion onto D
+OVERWRITE_KB = implication_kb(
+    {"A": (0.5, 0.9), "B": (0.5, 0.9), "C": (1.0, 0.9), "D": (0.0, 0.9)},
+    [("A", "B", 0.9, 0.9), ("B", "A", 0.5, 0.1), ("B", "C", 0.7, 0.8),
+     ("C", "A", 0.6, 0.8), ("C", "D", 0.0, 0.5), ("D", "D", 0.0, 0.5)],
+)
+
+
+class TestStepSet:
+    RULES = [deduction_rule(), inversion_rule()]
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_kbs(), st.integers(1, 8))
+    @example(OVERWRITE_KB, 6)
+    def test_kept_set_equals_rebuild(self, kb, steps):
+        """At every greedy step the delta-kept set is a from-scratch build
+        over the same model, zero rewards included, bit for bit; its live
+        part is `_candidates`, and the step taken is the first of their
+        highest rewards."""
+        model = KbModel.from_view(kb)
+        kept = StepSet(model, self.RULES)
+        for _ in range(steps):
+            assert _bits(kept.steps) == _bits(StepSet(model, self.RULES).steps)
+            rebuilt = _candidates(model, self.RULES)
+            assert [(*key, *kept.steps[key]) for key in sorted(kept.steps)
+                    if kept.steps[key][1] > 0.0] == rebuilt
+            step = kept.best()
+            assert step == max(rebuilt, key=lambda c: c[4], default=PASS)
+            if step is PASS:
+                break
+            kept.apply(step[2], step[3])
+            model = _apply(model, step[2], step[3])
+
+    def test_overwrite_example_overwrites(self):
+        model = KbModel.from_view(OVERWRITE_KB)
+        step = StepSet(model, self.RULES).best()
+        assert (step[1], step[2]) == ("inversion", ("A", "B")) and ("A", "B") in model.stmts
+
+    def test_greedy_scores_only_the_delta(self, monkeypatch):
+        """cwig runs once per instance on the first step, then only on the
+        instances each conclusion re-instantiates (as a premise) or
+        re-scores (as their conclusion)."""
+        rng = random.Random(30)
+        names = [f"C{i}" for i in range(30)]
+        nodes = {n: (rng.uniform(0.2, 0.8), rng.uniform(0.3, 0.9)) for n in names}
+        pairs = set()
+        while len(pairs) < 45:
+            pairs.add(tuple(rng.sample(names, 2)))
+        kb = implication_kb(nodes, [(a, b, rng.uniform(0.3, 0.95), rng.uniform(0.3, 0.9))
+                                    for a, b in sorted(pairs)])
+        calls = []
+        monkeypatch.setattr(chain_module, "cwig", lambda *tvs: calls.append(tvs) or cwig(*tvs))
+        res = forward_chain(kb, self.RULES, 5)
+        assert len(res.trace) == 5
+
+        model = KbModel.from_view(kb)
+        expected = sum(1 for rule in self.RULES for _ in rule.instantiate(model))
+        first = expected
+        for _, _, k, _ in res.trace[:-1]:
+            # which instances exist depends on the statement keys, not on tvs
+            model = _apply(model, k, res.statements[k])
+            expected += sum(k in premises or conclusion == k for rule in self.RULES
+                            for premises, conclusion, _ in rule.instantiate(model))
+        assert len(calls) == expected < 2 * first
 
 
 class TestRuleAudit:
