@@ -60,14 +60,17 @@ class CheckFailure(Exception):
     """A verification suite reported violations; exit code 1."""
 
 
-def _write_text(args, name: str, text: str) -> None:
+def _write_text(args, name: str, text: str) -> Path:
+    """Write `text` to `name` under `--out`; returns the written path."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / name).write_text(text)
+    path = out / name
+    path.write_text(text)
+    return path
 
 
-def _write_json(args, name: str, obj) -> None:
-    _write_text(args, name, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+def _write_json(args, name: str, obj) -> Path:
+    return _write_text(args, name, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def _tv_dict(tv) -> dict:
@@ -384,20 +387,35 @@ def _at_least(low: int):
     return count
 
 
-# Flags that take a float.  argparse would read a value such as "-inf",
-# "-nan" or "-1e5" after one as a flag of its own, so a single-dash token
-# there is attached as "--flag=value" and reaches the flag's range check.
-_FLOAT_FLAGS = ("--min-freq", "--quantum")
+# argparse reads a value such as "-inf", "-nan" or "-1e5" after a flag as a
+# flag of its own, so a single-dash token after a flag that takes a value is
+# attached as "--flag=value" and reaches the flag's type and range check.
+# No flag may be abbreviated, so a prefix such as "--min" is reported as an
+# unknown flag, together with its value.
 
 
-def _attach_float_values(argv: list) -> list:
-    out = []
+def _attach_values(argv: list) -> list:
+    out, takes_value = [], _value_flags()
     for token in argv:
-        if out and out[-1] in _FLOAT_FLAGS and token[:1] == "-" and token[1:2] != "-":
+        if out and out[-1] in takes_value and token[:1] == "-" and token[1:2] != "-":
             out[-1] += "=" + token
         else:
             out.append(token)
     return out
+
+
+@functools.cache
+def _value_flags(parser=None) -> frozenset:
+    """Every flag, across the commands under `parser` (default: the CLI's),
+    that takes a value."""
+    flags = set()
+    for action in (parser or _build_parser())._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= _value_flags(sub)
+        elif action.nargs is None:
+            flags.update(action.option_strings)
+    return frozenset(flags)
 
 
 @functools.cache
@@ -417,14 +435,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     any_executor, greedy_or_dp = executor("greedy", "dp", "sdp", "chrono"), executor("greedy", "dp")
 
-    parser = argparse.ArgumentParser(prog="cogpat")
+    parser = argparse.ArgumentParser(prog="cogpat", allow_abbrev=False)
     top = parser.add_subparsers(dest="group", required=True)
 
     def group(name):
-        return top.add_parser(name).add_subparsers(dest="cmd", required=True)
+        return top.add_parser(name, allow_abbrev=False).add_subparsers(dest="cmd", required=True)
 
     def leaf(sub, name, handler, *flags):
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         for flag, kw in (("--out", {"default": "out", "help": "artifact directory"}), *flags):
             p.add_argument(flag, **kw)
         p.set_defaults(handler=handler)
@@ -464,7 +482,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(
-            _attach_float_values(sys.argv[1:] if argv is None else argv))
+            _attach_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:

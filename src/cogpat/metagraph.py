@@ -5,7 +5,11 @@ may reference both nodes and other edges.  A metagraph may carry declared
 dangling target slots, which are bound to concrete atoms by `join`.
 Mutation is single-writer and bumps a version counter; `snapshot` hands out
 immutable views that higher layers fold over.  `from_dict`, `join`,
-`submetagraph` and the unfolds build through one bulk copy path.
+`submetagraph` and the unfolds build through one bulk copy path.  `join`
+shares the right operand's atoms instead when the copy would give each one
+the id and targets it has: its ids are 0..n-1 and its slots keep their
+numbers.  The unfolds emit a piece from a template built once per (piece
+version, port label) and cached on the piece.
 """
 
 from __future__ import annotations
@@ -389,10 +393,16 @@ def join(
     unbound = [d for d in m1.dangling if d.slot not in binding]
     out.dangling = tuple(DanglingSlot(k, d.type_label)
                          for k, d in enumerate(unbound + list(m2.dangling)))
-    remap2 = {slot_ref(d.slot): slot_ref(k) for k, d in enumerate(m2.dangling, len(unbound))}
-    _copy_atoms(out, [m2.atoms[i] for i in sorted(m2.atoms)], remap2)
     remap1 = {slot_ref(d.slot): slot_ref(k) for k, d in enumerate(unbound)}
-    remap1.update((slot_ref(slot), remap2[atom_id]) for slot, atom_id in binding.items())
+    ids2 = list(m2.atoms)
+    if (not unbound or not m2.dangling) and ids2 == list(range(len(ids2))):
+        # a copy would give each m2 atom the id and targets it has: share it
+        out.atoms, out._next_id = dict(m2.atoms), len(ids2)
+        remap1.update((slot_ref(slot), atom_id) for slot, atom_id in binding.items())
+    else:
+        remap2 = {slot_ref(d.slot): slot_ref(k) for k, d in enumerate(m2.dangling, len(unbound))}
+        _copy_atoms(out, [m2.atoms[i] for i in sorted(m2.atoms)], remap2)
+        remap1.update((slot_ref(slot), remap2[atom_id]) for slot, atom_id in binding.items())
     _copy_atoms(out, [m1.atoms[i] for i in sorted(m1.atoms)], remap1)
     return out
 

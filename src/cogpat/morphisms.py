@@ -21,6 +21,7 @@ from .metagraph import (
     StaleSnapshotError,
     TypedMetagraph,
     _copy_atoms,
+    _tuple_new,
     as_view,
     ref_slot,
     slot_ref,
@@ -173,16 +174,20 @@ def _structure_keys(view: MgView, run: MorphRun) -> dict:
     """Every atom's structural key, in one pass over ascending ids (a target
     id is below its edge's); each target reference reuses a key: a hit."""
     keys: dict[int, tuple] = {}
-    for i in sorted(view.atoms):
-        a = view.atoms[i]
-        child_keys = []
-        for t in a.targets:
-            if t >= 0:
-                child_keys.append(keys[t])
-                run.memo_hits += 1
-            else:
-                child_keys.append(("slot", ref_slot(t)))
-        keys[i] = (a.kind, a.type_label, a.tv, tuple(child_keys))
+    atoms, hits = view.atoms, 0
+    try:
+        for i in sorted(atoms):
+            a = atoms[i]
+            child_keys = []
+            for t in a.targets:
+                if t >= 0:
+                    child_keys.append(keys[t])
+                    hits += 1
+                else:
+                    child_keys.append(("slot", ref_slot(t)))
+            keys[i] = (a.kind, a.type_label, a.tv, tuple(child_keys))
+    finally:
+        run.memo_hits += hits
     return keys
 
 
@@ -194,9 +199,10 @@ def _frame_run(kind: str, view, algebra: Algebra, order, keyed: bool) -> MorphRu
 
     def gen():
         keys = _structure_keys(view, run) if keyed else None
-        acc = algebra.unit
+        acc, combine, atoms = algebra.unit, algebra.combine, view.atoms
         for i in order_atoms(view, order):
-            acc = algebra.combine(acc, Ctx(view.atoms[i], view, keys[i] if keyed else None))
+            # tuple.__new__ skips the NamedTuple's Python-level __new__
+            acc = combine(acc, _tuple_new(Ctx, (atoms[i], view, keys[i] if keyed else None)))
             yield
         return acc
 
@@ -225,22 +231,70 @@ def histo_fold(view, algebra: Algebra, order="insertion"):
 # Unfold / futu
 
 
+def _piece_cache(piece) -> tuple:
+    """`piece`'s atoms in id order and its emission templates by port label
+    (see `_compile_template`), kept on the piece for its current version."""
+    version, atoms, templates = getattr(piece, "_emit_cache", (None, None, None))
+    if version != piece.version:
+        atoms, templates = [piece.atoms[i] for i in sorted(piece.atoms)], {}
+        piece._emit_cache = (piece.version, atoms, templates)
+    return atoms, templates
+
+
+def _compile_template(atoms: list, slot_labels: list, port_label: Optional[str]) -> Optional[list]:
+    """How `_emit_piece` lays out a piece's `atoms` (in id order) when its
+    slots bind to an atom labelled `port_label` (None: no port): per atom,
+    its fields with each target as a piece-local position, or -1 for the
+    port.  None when an emission would raise or open a fresh slot."""
+    pos: dict[int, int] = {}
+    rows = []
+    for k, a in enumerate(atoms):
+        spec = []
+        for t in a.targets:
+            if t in pos:
+                spec.append(pos[t])
+            elif (t < 0 and port_label is not None and ref_slot(t) < len(slot_labels)
+                  and slot_labels[ref_slot(t)] == port_label):
+                spec.append(-1)
+            else:
+                return None
+        rows.append((a.kind, a.type_label, tuple(spec), a.tv, a.sti, a.lti))
+        pos[a.id] = k
+    return rows
+
+
 def _emit_piece(acc: TypedMetagraph, piece, port: Optional[int]) -> range:
     """Copy `piece` atoms into `acc`; dangling slots bind to `port`."""
-    remap: dict[int, int] = {}
-    if port is not None:
-        port_label = acc.atoms[port].type_label
-        remap = {slot_ref(d.slot): port for d in piece.dangling if d.type_label == port_label}
-
-    def new_slot(t: int) -> str:
-        if t >= 0:
-            raise UnfoldError(f"piece target {t} emitted out of order", acc)
-        label = piece.dangling[ref_slot(t)].type_label
+    port_label = None if port is None else acc.atoms[port].type_label
+    atoms, templates = _piece_cache(piece)
+    if port_label not in templates:
+        templates[port_label] = _compile_template(
+            atoms, [d.type_label for d in piece.dangling], port_label)
+    template = templates[port_label]
+    if template is None:
+        # raising, or opening fresh slots, is left to the bulk copy path
+        remap: dict[int, int] = {}
         if port is not None:
-            raise UnfoldError(f"port type {port_label!r} != slot type {label!r}", acc)
-        return label
+            remap = {slot_ref(d.slot): port for d in piece.dangling if d.type_label == port_label}
 
-    return _copy_atoms(acc, [piece.atoms[i] for i in sorted(piece.atoms)], remap, new_slot)
+        def new_slot(t: int) -> str:
+            if t >= 0:
+                raise UnfoldError(f"piece target {t} emitted out of order", acc)
+            label = piece.dangling[ref_slot(t)].type_label
+            if port is not None:
+                raise UnfoldError(f"port type {port_label!r} != slot type {label!r}", acc)
+            return label
+
+        return _copy_atoms(acc, atoms, remap, new_slot)
+    store, first = acc.atoms, acc._next_id
+    new_id = first
+    for kind, label, spec, tv, sti, lti in template:
+        targets = tuple([port if p < 0 else first + p for p in spec]) if spec else ()
+        store[new_id] = _tuple_new(Atom, (new_id, kind, label, targets, tv, sti, lti))
+        new_id += 1
+    acc._next_id = new_id
+    acc._bump()
+    return range(first, new_id)
 
 
 def futu_unfold_run(seed, coalg: Coalgebra, budget: int) -> MorphRun:
@@ -310,8 +364,8 @@ def chrono_run(seed, coalg: Coalgebra, algebra: Algebra, budget: int) -> MorphRu
         run.truncated |= len(pieces) < len(exp.pieces)
         budget_left -= len(pieces)
         for piece in pieces:
-            for i in sorted(piece.atoms):
-                v = algebra.combine(v, Ctx(piece.atoms[i], None, None))
+            for a in _piece_cache(piece)[0]:
+                v = algebra.combine(v, _tuple_new(Ctx, (a, None, None)))
         own.append(v)
         return [child_seed for child_seed, _port in exp.children]
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import cogpat
+from cogpat import cli
 from cogpat.cli import _build_parser, main
 from cogpat.dds import exact_dp
 from cogpat.fixtures import (
@@ -168,6 +169,12 @@ class TestExitCodes:
         *((["cog", "ecan", *SOCIAL, "--quantum", value],
            f"--quantum must be finite and > 0, got {float(value)}")
           for value in ("-inf", "-nan", "-1e5")),
+        # no flag is abbreviated, and a single-dash value after any flag is its value
+        (["cog", "mine", *SOCIAL, "--min", "-inf"], "error: unrecognized arguments: --min -inf"),
+        (["cog", "chain", "--fixture", FIXTURES / "kb_two_hop.json", "--budget", "-1e5"],
+         "argument --budget: invalid count value: '-1e5'"),
+        (["cog", "mine", *SOCIAL, "--min", "0.5"], "error: unrecognized arguments: --min 0.5"),
+        (["cog", "ecan", *SOCIAL, "--seed", "-1e5"], "argument --seed: invalid int value: '-1e5'"),
     ])
     def test_cog_usage_error(self, tmp_path, command, message, capsys):
         assert run(*command, "--out", tmp_path) == 2
@@ -360,6 +367,13 @@ FLAG_ENTRY = re.compile(r"`(--[a-z-]+)`(?: ([^ ,(]+))?(?: \(([^)]*)\))?")
 
 
 class TestCliContract:
+    def test_writers_return_the_written_path(self, tmp_path):
+        args = argparse.Namespace(out=str(tmp_path / "out"))
+        text = cli._write_text(args, "a.csv", "x\n")
+        data = cli._write_json(args, "b.json", {"k": 1})
+        assert text == tmp_path / "out" / "a.csv" and text.read_text() == "x\n"
+        assert data == tmp_path / "out" / "b.json" and json.loads(data.read_text()) == {"k": 1}
+
     def test_readme_flag_table_matches_parser(self):
         table = {}
         for line in (REPO / "README.md").read_text().splitlines():

@@ -600,16 +600,57 @@ class TestBulkBuildersMatchAddAtom:
         for source in (mg, mg.snapshot()):
             assert_same_store(submetagraph(source, keep), ref_submetagraph(mg, keep))
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(m1=metagraphs(max_atoms=8), m2=metagraphs(max_atoms=8), data=st.data())
     def test_join(self, m1, m2, data):
+        """Right operands with ids 0..n-1 (as `metagraphs` grows them) or with
+        gaps, with and without slots, bound fully, partly or not at all."""
         rng = random.Random(data.draw(st.integers(0, 2**16)))
-        m1, m2 = (TypedMetagraph.from_dict(relabeled(m.to_dict(), rng)) for m in (m1, m2))
+        m1 = TypedMetagraph.from_dict(relabeled(m1.to_dict(), rng))
+        if data.draw(st.booleans()):
+            m2 = TypedMetagraph.from_dict(relabeled(m2.to_dict(), rng))
         binding = {}
         for d in m1.dangling:
             fits = [i for i, a in m2.atoms.items() if a.type_label == d.type_label]
             if fits and data.draw(st.booleans()):
                 binding[d.slot] = data.draw(st.sampled_from(fits))
         m1_json, m2_json = m1.to_json(), m2.to_json()
-        assert_same_store(join(m1, m2.snapshot(), binding), ref_join(m1, m2, binding))
+        got = join(m1, m2.snapshot(), binding)
+        assert_same_store(got, ref_join(m1, m2, binding))
         assert (m1.to_json(), m2.to_json()) == (m1_json, m2_json)
+        # the right operand's atoms are shared exactly when a copy would keep them
+        keeps = (list(m2.atoms) == list(range(len(m2)))
+                 and (not m2.dangling or len(binding) == len(m1.dangling)))
+        assert all((got.atoms[k] is m2.atoms[i]) == keeps for k, i in enumerate(sorted(m2.atoms)))
+
+
+class TestJoinSharesTheHost:
+    """Joining into a host with ids 0..n-1 creates no new host atoms."""
+
+    @staticmethod
+    def host(n=50):
+        return TypedMetagraph.from_dict({"atoms": [
+            {"id": i, "kind": "node", "type": "N"} if i < n // 2 else
+            {"id": i, "kind": "edge", "type": "E", "targets": [i - n // 2, i // 3]}
+            for i in range(n)]})
+
+    def test_bound_piece_shares_host_atoms(self):
+        host = self.host()
+        piece = TypedMetagraph()
+        slot = piece.declare_dangling("N")
+        piece.add_edge("up", [piece.add_node("M"), slot_ref(slot)])
+        for right in (host, host.snapshot()):
+            out = join(piece, right, {slot: 7})
+            assert all(out.atoms[i] is host.atoms[i] for i in host.atoms)
+            assert [out.atoms[i].targets for i in (50, 51)] == [(), (50, 7)]
+            out.set_sti(3, 2.0)
+            assert host.atoms[3].sti == 0.0 and out.atoms[3].sti == 2.0
+
+    def test_unbound_left_slot_renumbers_host_slots(self):
+        host = self.host()
+        host.add_edge("E", [slot_ref(host.declare_dangling("N"))])
+        piece = TypedMetagraph()
+        piece.add_edge("up", [slot_ref(piece.declare_dangling("N"))])
+        out = join(piece, host, {})
+        assert out.atoms[50].targets == (slot_ref(1),) and out.atoms[0] is not host.atoms[0]
+        assert out.atoms[51].targets == (slot_ref(0),)

@@ -519,6 +519,53 @@ class TestBulkEmissionMatchesAddAtom:
         assert got.version > view.stamp and view.is_stale()
 
 
+class TestEmissionTemplates:
+    @staticmethod
+    def seed_coalgebra(piece, mutate=lambda n: None):
+        """Seed n emits `piece` and has children n//2 and n//3 bound to the
+        piece's first atom; `mutate(n)` runs before each expansion."""
+        def expand(n):
+            mutate(n)
+            return Expansion([piece], [(n // d, 0) for d in (2, 3)] if n > 1 else [])
+        return Coalgebra(expand)
+
+    @staticmethod
+    def up_piece():
+        piece = TypedMetagraph()
+        slot = piece.declare_dangling("T")
+        piece.add_edge("up", [piece.add_node("T"), slot_ref(slot)])
+        return piece
+
+    def test_one_run_builds_each_template_once(self, monkeypatch):
+        piece = self.up_piece()
+        calls = []
+        compile_template = morphisms._compile_template
+        monkeypatch.setattr(morphisms, "_compile_template",
+                            lambda *args: calls.append(args[2]) or compile_template(*args))
+        mg = futu_unfold(10**6, self.seed_coalgebra(piece), 500)
+        assert len(mg) == 1000 and mg.dangling[0].type_label == "T"
+        # the root binds no port; every other emission binds a "T" node
+        assert calls == [None, "T"]
+
+    def test_piece_changed_mid_run_is_recompiled(self):
+        runs = []
+        for emit in (morphisms._emit_piece, ref_emit_piece):
+            piece = self.up_piece()
+
+            def mutate(n):
+                if n == 6:
+                    piece.add_edge("side", [0, 1], sti=1.5)
+                    piece.set_sti(0, 2.0)
+            saved, morphisms._emit_piece = morphisms._emit_piece, emit
+            try:
+                runs.append(futu_unfold(100, self.seed_coalgebra(piece, mutate), 40))
+            finally:
+                morphisms._emit_piece = saved
+        got, want = runs
+        assert same_store(got, want)
+        assert {a.type_label for a in got.atoms.values()} == {"T", "up", "side"}
+
+
 @st.composite
 def fold_cases(draw):
     mg = TypedMetagraph()
