@@ -15,7 +15,7 @@ from pathlib import Path
 from .cofo import CofoProblem, Hypothesis
 from .cogkit.chain import Rule, check_truth_values, deduction_rule, inversion_rule
 from .dds import DdsProblem
-from .metagraph import TypedMetagraph
+from .metagraph import Atom, TypedMetagraph, decode_json
 from .subpattern import SimplicityMeasure, disjoint_union
 
 
@@ -23,13 +23,14 @@ class FixtureError(Exception):
     pass
 
 
-def load_json(path) -> dict:
+def load_json(path, decode=json.loads) -> dict:
     path = Path(path)
     if not path.is_file():
         raise FixtureError(f"{path}: fixture file not found")
     try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        data = decode(path.read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the decoder's recursion limit
         raise FixtureError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise FixtureError(f"{path}: top level must be an object")
@@ -42,15 +43,28 @@ def _require(data: dict, field: str, path) -> object:
     return data[field]
 
 
+def _require_entries(entries: list, field: str, names: tuple, path) -> None:
+    """Each of `entries` (list `field`) is an object holding `names`; an
+    `Atom` decoded from a well-formed atom entry holds them all."""
+    for i, entry in enumerate(entries):
+        if type(entry) is Atom:
+            continue
+        if not isinstance(entry, dict):
+            raise FixtureError(f"{path}: {field}[{i}] must be an object")
+        for name in names:
+            if name not in entry:
+                raise FixtureError(f"{path}: {field}[{i}] missing field {name!r}")
+
+
 def load_metagraph(path) -> TypedMetagraph:
-    data = load_json(path)
+    data = load_json(path, decode_json)
     atoms = _require(data, "atoms", path)
-    if not isinstance(atoms, list):
-        raise FixtureError(f"{path}: field 'atoms' must be a list")
-    for i, atom in enumerate(atoms):
-        for field in ("id", "kind", "type"):
-            if field not in atom:
-                raise FixtureError(f"{path}: atoms[{i}] missing field {field!r}")
+    dangling = data.get("dangling", [])
+    for field, entries in (("atoms", atoms), ("dangling", dangling)):
+        if not isinstance(entries, list):
+            raise FixtureError(f"{path}: field {field!r} must be a list")
+    _require_entries(atoms, "atoms", ("id", "kind", "type"), path)
+    _require_entries(dangling, "dangling", ("type",), path)
     try:
         return TypedMetagraph.from_dict(data)
     except Exception as exc:

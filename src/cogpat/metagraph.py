@@ -10,6 +10,15 @@ shares the right operand's atoms instead when the copy would give each one
 the id and targets it has: its ids are 0..n-1 and its slots keep their
 numbers.  The unfolds emit a piece from a template built once per (piece
 version, port label) and cached on the piece.
+
+`decode_json` parses metagraph JSON with an object hook that turns each
+well-formed atom object into its final `Atom` as soon as it is parsed, so
+the object's dict and target list die at once instead of living through
+the whole parse (and through the full collections that many promoted
+containers set off).  The hook never raises: any other object comes back
+unchanged.  If some object was not a well-formed atom entry of the
+top-level `atoms` list, the text is parsed again as plain dicts, so the
+dict path of `from_dict` reports it with the message it always gives.
 """
 
 from __future__ import annotations
@@ -49,22 +58,28 @@ class CanonicalizationError(MgError):
 # Truth values
 
 
-@dataclass(frozen=True)
-class TruthValue:
+def _unordered(self, other):
+    return NotImplemented
+
+
+class TruthValue(NamedTuple("_TvFields", [("s", float), ("c", float)])):
     """Strength / confidence pair with a beta-distribution second-order fit.
+    It hashes and tests equal as its (s, c) tuple but has no order.
 
     The evidence count is n = c/(1-c); the fitted beta parameters are
     a = s*n + 1 and b = (1-s)*n + 1, so both stay >= 1.
     """
 
-    s: float
-    c: float
+    __slots__ = ()
+    # `<` and the like raise TypeError, as between any unordered values
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.s <= 1.0):
-            raise ValueError(f"strength out of [0,1]: {self.s}")
-        if not (0.0 <= self.c < 1.0):
-            raise ValueError(f"confidence out of [0,1): {self.c}")
+    def __new__(cls, s: float, c: float):
+        if not (0.0 <= s <= 1.0):
+            raise ValueError(f"strength out of [0,1]: {s}")
+        if not (0.0 <= c < 1.0):
+            raise ValueError(f"confidence out of [0,1): {c}")
+        return tuple.__new__(cls, (s, c))
 
     @property
     def n(self) -> float:
@@ -143,11 +158,84 @@ def ref_slot(target: int) -> int:
     return -target - 1
 
 
-def _entry_id(entry: Mapping[str, Any]) -> int:
-    """A serialized atom's id; a negative one would read as a slot."""
+def _entry_id(entry: "Atom | Mapping[str, Any]") -> int:
+    """A serialized atom's id, or a decoded `Atom`'s; a negative one would
+    read as a slot."""
+    if type(entry) is Atom:
+        return entry.id
     if type(entry["id"]) is not int or entry["id"] < 0:
         raise MgIntegrityError(f"atom id {entry['id']!r} is not a non-negative integer")
     return entry["id"]
+
+
+def _finite(x: Any) -> bool:
+    """A finite float or an int; JSON's true and false are not numbers here.
+    (A finite float less itself is 0.0; inf or nan less itself is nan.)"""
+    return type(x) is float and x - x == 0.0 or type(x) is int
+
+
+def _check_fields(a: Atom) -> None:
+    """The label is a string and sti and lti are finite numbers (`Atom`
+    itself checks the kind and targets)."""
+    if type(a.type_label) is not str:
+        raise MgIntegrityError(f"atom {a.id} type {a.type_label!r} is not a string")
+    for name, value in (("sti", a.sti), ("lti", a.lti)):
+        if not _finite(value):
+            raise MgIntegrityError(f"atom {a.id} {name} {value!r} is not a finite number")
+
+
+def _slot_type(slot: int, entry: Mapping[str, Any]) -> str:
+    if type(entry["type"]) is not str:
+        raise MgIntegrityError(f"dangling slot {slot} type {entry['type']!r} is not a string")
+    return entry["type"]
+
+
+def decode_json(text: str) -> Any:
+    """`json.loads(text)`, except that each entry of the top-level `atoms`
+    list comes back as its `Atom` when every one of them is a well-formed
+    atom object (see the module docstring)."""
+    made: list[Atom] = []
+
+    def atom(obj: dict) -> Any:
+        # a missing field reads as None, which no check below accepts
+        label = obj.get("type")
+        if type(label) is not str:
+            return obj
+        i = obj.get("id")
+        if type(i) is not int or i < 0:
+            return obj
+        kind, targets = obj.get("kind"), obj.get("targets", ())
+        if kind == EDGE and type(targets) is list and targets:
+            for t in targets:
+                if type(t) is not int:
+                    return obj
+            # the module's kind strings, not one parsed copy per atom
+            kind, targets = EDGE, tuple(targets)
+        elif kind == NODE and (targets == () or targets == []):
+            kind, targets = NODE, ()
+        else:
+            return obj
+        sti, lti = obj.get("sti", 0.0), obj.get("lti", 0.0)
+        if not (_finite(sti) and _finite(lti)):
+            return obj
+        tv = None
+        if "tv" in obj:
+            # what TruthValue(**tv) builds, for exactly s and c given as numbers
+            tv = obj["tv"]
+            if type(tv) is not dict or len(tv) != 2:
+                return obj
+            s, c = tv.get("s"), tv.get("c")
+            if not (_finite(s) and _finite(c) and 0.0 <= s <= 1.0 and 0.0 <= c < 1.0):
+                return obj
+            tv = _tuple_new(TruthValue, (s, c))
+        a = _tuple_new(Atom, (i, kind, label, targets, tv, sti, lti))
+        made.append(a)
+        return a
+
+    data = json.loads(text, object_hook=atom)
+    if made and (type(data) is not dict or data.get("atoms") != made):
+        return json.loads(text)
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -296,16 +384,22 @@ class TypedMetagraph(_MgBase):
     @staticmethod
     def from_dict(d: Mapping[str, Any]) -> "TypedMetagraph":
         """Load in one pass over ascending ids, keeping each atom's id; a
-        target must be a lower id or a declared slot, as `add_atom` asks."""
+        target must be a lower id or a declared slot, as `add_atom` asks.
+        An entry that is already an `Atom` (as `decode_json` gives) is kept
+        as it is once its id and targets pass those checks."""
         mg = TypedMetagraph()
-        mg.dangling = tuple(DanglingSlot(k, s["type"]) for k, s in enumerate(d.get("dangling", ())))
+        mg.dangling = tuple(DanglingSlot(k, _slot_type(k, s)) for k, s in enumerate(d.get("dangling", ())))
         n_slots, atoms, last = len(mg.dangling), mg.atoms, -1
         for e in sorted(d.get("atoms", ()), key=_entry_id):
-            i = e["id"]
+            decoded = type(e) is Atom
+            i = e.id if decoded else e["id"]
             if i == last:
                 raise MgIntegrityError(f"duplicate atom id {i}")
-            tv = TruthValue.from_dict(e["tv"]) if "tv" in e else None
-            targets = tuple(e.get("targets", ()))
+            if decoded:
+                targets = e.targets
+            else:
+                tv = TruthValue.from_dict(e["tv"]) if "tv" in e else None
+                targets = tuple(e.get("targets", ()))
             for t in targets:
                 if type(t) is not int:
                     raise MgIntegrityError(f"target {t!r} is not an integer")
@@ -314,7 +408,10 @@ class TypedMetagraph(_MgBase):
                         raise MgIntegrityError(f"target {t} not present")
                 elif ref_slot(t) >= n_slots:
                     raise MgIntegrityError(f"dangling slot {ref_slot(t)} not declared")
-            atoms[i] = Atom(i, e["kind"], e["type"], targets, tv, e.get("sti", 0.0), e.get("lti", 0.0))
+            if not decoded:
+                e = Atom(i, e["kind"], e["type"], targets, tv, e.get("sti", 0.0), e.get("lti", 0.0))
+                _check_fields(e)
+            atoms[i] = e
             last = i
         mg._next_id = last + 1
         mg.version = 1 if atoms or n_slots else 0
@@ -322,7 +419,7 @@ class TypedMetagraph(_MgBase):
 
     @staticmethod
     def from_json(text: str) -> "TypedMetagraph":
-        return TypedMetagraph.from_dict(json.loads(text))
+        return TypedMetagraph.from_dict(decode_json(text))
 
 
 class MgView(_MgBase):

@@ -255,6 +255,29 @@ class TestExitCodes:
         assert err.startswith("error: ") and "kb.json: malformed metagraph" in err and message in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", [["mine", "--budget", 2], ["ecan"]])
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["atoms"].__setitem__(0, 5), "kb.json: atoms[0] must be an object"),
+        (lambda d: d.__setitem__("dangling", [5]), "kb.json: dangling[0] must be an object"),
+        (lambda d: d.__setitem__("dangling", 5), "kb.json: field 'dangling' must be a list"),
+        (lambda d: d.__setitem__("dangling", [{"slot": 0, "type": 5}]),
+         "dangling slot 0 type 5 is not a string"),
+        (lambda d: d["atoms"][0].__setitem__("type", 5), "atom 0 type 5 is not a string"),
+        (lambda d: d["atoms"][0].__setitem__("sti", "high"), "atom 0 sti 'high' is not a finite number"),
+        (lambda d: d["atoms"][0].__setitem__("sti", float("nan")), "atom 0 sti nan is not a finite number"),
+        (lambda d: d["atoms"][0].__setitem__("lti", float("inf")), "atom 0 lti inf is not a finite number"),
+        (lambda d: d["atoms"][0].__setitem__("sti", True), "atom 0 sti True is not a finite number"),
+    ])
+    def test_malformed_metagraph_entry(self, tmp_path, command, edit, message, capsys):
+        data = json.loads((FIXTURES / "kb_social.json").read_text())
+        edit(data)
+        path = tmp_path / "kb.json"
+        path.write_text(json.dumps(data))
+        assert run("cog", *command, "--fixture", path, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "out").exists()
+
     def test_failed_audit_is_exit_one(self, tmp_path):
         assert run("subpattern", "audit", "--fixture",
                    FIXTURES / "subpattern_maxmin.json", "--out", tmp_path) == 1

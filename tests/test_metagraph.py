@@ -1,9 +1,15 @@
+import copy
 import itertools
+import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cogpat import fixtures
+from cogpat.fixtures import FixtureError, load_metagraph
 from cogpat.metagraph import (
     EDGE,
     NODE,
@@ -15,6 +21,7 @@ from cogpat.metagraph import (
     TruthValue,
     TypedMetagraph,
     canonical_form,
+    decode_json,
     join,
     ref_slot,
     slot_ref,
@@ -45,6 +52,17 @@ class TestTruthValue:
     def test_from_count_roundtrip(self):
         tv = TruthValue.from_count(0.7, 3.0)
         assert tv.n == pytest.approx(3.0)
+
+    def test_immutable_unordered_and_hashed_as_its_pair(self):
+        tv = TruthValue(0.5, 0.25)
+        with pytest.raises(AttributeError):
+            tv.s = 0.0
+        with pytest.raises(TypeError, match="'<' not supported"):
+            tv < TruthValue(0.5, 0.5)
+        with pytest.raises(TypeError, match="'>=' not supported"):
+            (("P", "Q"), tv) >= (("P", "Q"), TruthValue(0.5, 0.5))
+        assert hash(tv) == hash((0.5, 0.25)) and tv == TruthValue(0.5, 0.25)
+        assert repr(tv) == "TruthValue(s=0.5, c=0.25)" and TruthValue.from_dict(tv.to_dict()) == tv
 
 
 class TestAddAtom:
@@ -654,3 +672,172 @@ class TestJoinSharesTheHost:
         out = join(piece, host, {})
         assert out.atoms[50].targets == (slot_ref(1),) and out.atoms[0] is not host.atoms[0]
         assert out.atoms[51].targets == (slot_ref(0),)
+
+
+# -- decoding JSON straight into Atoms against the plain dict path -----------
+
+
+@st.composite
+def metagraph_dicts(draw, max_atoms=10):
+    """A well-formed serialized metagraph: ids with gaps listed in shuffled
+    order, slots, truth values, int and float sti and lti, and edges that
+    target nodes, edges and slots."""
+    dangling = [{"slot": k, "type": draw(st.sampled_from(LABELS))}
+                for k in range(draw(st.integers(0, 2)))]
+    ids = sorted(draw(st.sets(st.integers(0, 40), max_size=max_atoms)))
+    atoms = []
+    for k, i in enumerate(ids):
+        refs = ids[:k] + [slot_ref(d["slot"]) for d in dangling]
+        entry = {"id": i, "type": draw(st.sampled_from(LABELS))}
+        if refs and draw(st.booleans()):
+            entry.update(kind=EDGE, targets=draw(st.lists(st.sampled_from(refs), min_size=1, max_size=3)))
+        else:
+            entry["kind"] = NODE
+            if draw(st.booleans()):
+                entry["targets"] = []
+        if draw(st.booleans()):
+            entry["tv"] = {"s": draw(st.floats(0, 1) | st.sampled_from([0, 1])),
+                           "c": draw(st.floats(0, 1, exclude_max=True) | st.just(0))}
+        for field in ("sti", "lti"):
+            if draw(st.booleans()):
+                entry[field] = draw(st.integers(-5, 5) | st.floats(-10, 10))
+        atoms.append(entry)
+    return {"atoms": draw(st.permutations(atoms)), "dangling": dangling}
+
+
+def outcome(load, arg):
+    """What `load(arg)` gives: its atoms (by repr, so 1 and 1.0 differ),
+    slots, version and next id, or its exception's type and message."""
+    try:
+        mg = load(arg)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return repr(mg.atoms), mg.dangling, mg.version, mg._next_id
+
+
+def load_text(text, *loads):
+    """The outcome of each of `loads` on one file holding `text`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mg.json"
+        path.write_text(text)
+        return [outcome(load, path) for load in loads]
+
+
+def load_plain(path):
+    """`load_metagraph` with plain `json.loads` in place of the decoder."""
+    decoder, fixtures.decode_json = fixtures.decode_json, json.loads
+    try:
+        return load_metagraph(path)
+    finally:
+        fixtures.decode_json = decoder
+
+
+ATOM = {"id": 0, "kind": "node", "type": "A"}
+BASE = {"atoms": [
+    {"id": 0, "kind": "node", "type": "A", "sti": 1.5},
+    {"id": 1, "kind": "node", "type": "B", "tv": {"s": 0.5, "c": 0.5}},
+    {"id": 2, "kind": "edge", "type": "E", "targets": [0, 1, -1], "tv": {"s": 0.25, "c": 0.75},
+     "lti": 2},
+], "dangling": [{"slot": 0, "type": "A"}]}
+
+
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def edit(d):
+        for step in path:
+            d = d[step]
+        if value is DELETE:
+            del d[key]
+        else:
+            d[key] = value
+    return edit
+
+
+DELETE = object()
+MUTATIONS = {
+    **{f"id {bad!r}": _set("atoms", 2, "id", bad) for bad in (-1, True, 1.5, "2", None)},
+    "id missing": _set("atoms", 0, "id", DELETE),
+    "huge id": _set("atoms", 2, "id", 10**30),
+    "duplicate id": _set("atoms", 1, "id", 0),
+    **{f"kind {bad!r}": _set("atoms", 2, "kind", bad) for bad in ("blob", 5, None)},
+    "kind missing": _set("atoms", 2, "kind", DELETE),
+    "edge without targets": _set("atoms", 2, "targets", DELETE),
+    "node made an edge": _set("atoms", 0, "kind", "edge"),
+    "node with a target": _set("atoms", 1, "targets", [0]),
+    **{f"targets {bad!r}": _set("atoms", 2, "targets", bad)
+       for bad in ([], "01", 5, [0.0], [True], [None], [7], [-2], [0, 2], [ATOM])},
+    **{f"tv {bad!r}": _set("atoms", 1, "tv", bad)
+       for bad in ({"s": 2, "c": 0.5}, {"s": 0.5}, {"s": 0.5, "c": 0.5, "k": 1}, None, 5, [0.5, 0.5],
+                   {"s": "x", "c": 0.5}, {"s": 0.5, "c": float("nan")}, ATOM, {"s": True, "c": 0.5})},
+    **{f"type {bad!r}": _set("atoms", 0, "type", bad) for bad in (5, None, ["A"], ATOM)},
+    "type missing": _set("atoms", 0, "type", DELETE),
+    **{f"sti {bad!r}": _set("atoms", 0, "sti", bad)
+       for bad in (float("nan"), float("inf"), "x", True, None, 10**400, -0.0, ATOM)},
+    "lti False": _set("atoms", 2, "lti", False),
+    **{f"entry {bad!r}": _set("atoms", 1, bad) for bad in (5, "id kind type", [0], None)},
+    **{f"dangling {bad!r}": _set("dangling", bad)
+       for bad in (5, [5], [{"slot": 0}], [{"slot": 0, "type": 5}], [dict(ATOM, slot=0)], {"type": "A"})},
+    "atoms is an atom": _set("atoms", ATOM),
+    "atom object under an extra key": _set("extra", ATOM),
+    "atom object inside an entry": _set("atoms", 0, "extra", [ATOM]),
+    "top level with atom keys": lambda d: d.update(ATOM),
+    "top level is an atom": lambda d: (d.clear(), d.update(ATOM)),
+}
+
+
+class TestDecodeJson:
+    @settings(max_examples=150, deadline=None)
+    @given(d=metagraph_dicts())
+    def test_matches_the_dict_path(self, d):
+        text = json.dumps(d)
+        want = outcome(TypedMetagraph.from_dict, json.loads(text))
+        assert want[0].startswith("{")  # well-formed: it loads
+        decoded = decode_json(text)["atoms"]
+        assert all(type(e) is Atom for e in decoded)  # no silent fallback to dicts
+        assert outcome(TypedMetagraph.from_json, text) == want
+        assert load_text(text, load_metagraph) == [want]
+        mg = TypedMetagraph.from_json(text)
+        assert all(type(a) is Atom for a in mg.atoms.values())
+
+    @pytest.mark.parametrize("name", MUTATIONS)
+    def test_malformed_input_reports_as_the_dict_path(self, name):
+        d = copy.deepcopy(BASE)
+        MUTATIONS[name](d)
+        text = json.dumps(d)
+        assert outcome(TypedMetagraph.from_json, text) == outcome(TypedMetagraph.from_dict,
+                                                                 json.loads(text))
+        got, want = load_text(text, load_metagraph, load_plain)
+        assert got == want
+        assert got[0] == "FixtureError" or got[0].startswith("{")
+
+    def test_top_level_object_is_never_an_atom(self):
+        assert decode_json(json.dumps(ATOM)) == ATOM
+        assert decode_json(json.dumps([ATOM])) == [ATOM]
+        assert type(decode_json(json.dumps({"atoms": [ATOM]}))["atoms"][0]) is Atom
+
+
+JSON_KEYS = st.sampled_from(["atoms", "dangling", "id", "kind", "type", "targets", "tv", "sti",
+                             "lti", "s", "c", "slot"])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats()
+    | st.sampled_from(["node", "edge", "A", ""]),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(JSON_KEYS, children, max_size=6),
+    max_leaves=25)
+
+
+class TestLoadMetagraphRobust:
+    @settings(max_examples=300, deadline=None)
+    @given(value=JSON_VALUES | st.builds(lambda atoms, rest: {**rest, "atoms": atoms},
+                                          st.lists(JSON_VALUES, max_size=4),
+                                          st.dictionaries(JSON_KEYS, JSON_VALUES, max_size=3)))
+    def test_any_json_loads_or_is_a_fixture_error(self, value):
+        got, = load_text(json.dumps(value), load_metagraph)
+        assert got[0] == "FixtureError" or got[0].startswith("{"), got
+
+    @pytest.mark.parametrize("raw", [b"[" * 100_000, b'{"atoms": ' * 100_000, b"\xff\xfe{}"])
+    def test_unreadable_json_is_a_fixture_error(self, tmp_path, raw):
+        path = tmp_path / "mg.json"
+        path.write_bytes(raw)
+        with pytest.raises(FixtureError, match="invalid JSON"):
+            load_metagraph(path)
