@@ -18,7 +18,6 @@ built.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
@@ -66,6 +65,8 @@ class CofoProblem:
             raise CofoError("domain repeats a point")
         if not (0.0 < self.rho < 1.0):
             raise CofoError("rho must lie in (0,1)")
+        if not (self.tol >= 0.0):
+            raise CofoError("tol must be >= 0")
         psum = sum(h.prior for h in self.hypotheses)
         if psum <= 0 or any(h.prior <= 0 for h in self.hypotheses):
             raise CofoError("hypothesis priors must be positive")
@@ -195,47 +196,17 @@ def info_gain(p: CofoProblem, d_before: Dataset, d_after: Dataset) -> InfoGain:
     return InfoGain(bits, max(kl, 0.0))
 
 
-def combinator_lift(p: CofoProblem, cname: str, d: Dataset, trials: int, seed: int):
-    """Empirical P(C(x,y) in support | x,y in support) vs the support's
-    weighted share of the domain."""
-    if trials < 1:
-        raise CofoError("trials must be >= 1")
-    ps = promising_set(p, d)
-    if not ps.support:
-        raise CofoError("promising set has empty support")
-    comb = p.combinators[cname]
-    dist = ps.distribution()
-    points = list(dist)
-    weights = [dist[x] for x in points]
-    rng = random.Random(seed)
-    in_support = set(ps.support)
-    hits = 0
-    for _ in range(trials):
-        x = rng.choices(points, weights=weights, k=1)[0]
-        y = rng.choices(points, weights=weights, k=1)[0]
-        if comb(x, y) in in_support:
-            hits += 1
-    p_cond = hits / trials
-    p_base = sum(p.weight(x) for x in ps.support)
-    return p_cond, p_base
-
-
 # ---------------------------------------------------------------------------
 # DDS adapter
 
 
-def make_cofo_dds(
-    p: CofoProblem,
-    horizon: int,
-    sampler="exhaustive",
-    seed: int = 0,
-) -> DdsProblem:
+def make_cofo_dds(p: CofoProblem, horizon: int) -> DdsProblem:
     """State = dataset; action = (x, y, combinator name); reward = entropy
     drop of the promising set after appending the evaluated combination."""
     if horizon < 1:
         raise CofoError("horizon must be >= 1")
     evaluated: dict = {}  # dataset_key -> (promising set, its entropy)
-    action_lists: dict = {}  # dataset_key -> action_set(...)
+    action_lists: dict = {}  # dataset_key -> its actions
 
     def evaluate(key, d: Dataset):
         if key not in evaluated:
@@ -246,34 +217,15 @@ def make_cofo_dds(
     def actions(t, d: Dataset):
         key = dataset_key(d)
         if key not in action_lists:
-            action_lists[key] = action_set(key, evaluate(key, d)[0])
+            pool = evaluate(key, d)[0].support or p.points
+            action_lists[key] = [
+                (x, y, c)
+                for x in pool
+                for y in pool
+                for c in sorted(p.combinators)
+                if p.combinators[c](x, y) in p.objective
+            ]
         return action_lists[key]
-
-    def action_set(key, ps: PromisingSet):
-        pool = ps.support if ps.support else p.points
-        triples = [
-            (x, y, c)
-            for x in pool
-            for y in pool
-            for c in sorted(p.combinators)
-            if p.combinators[c](x, y) in p.objective
-        ]
-        if sampler == "exhaustive":
-            return triples
-        kind, m = sampler
-        if kind != "sample":
-            raise CofoError(f"unknown sampler spec: {sampler!r}")
-        # seed from a stable string, not hash(), so runs reproduce exactly
-        rng = random.Random(repr((seed, key)))
-        dist = ps.distribution() if ps.support else {x: 1 / len(pool) for x in pool}
-        out = []
-        for _ in range(m):
-            x = rng.choices(list(dist), weights=list(dist.values()), k=1)[0]
-            y = rng.choices(list(dist), weights=list(dist.values()), k=1)[0]
-            c = rng.choice(sorted(p.combinators))
-            if p.combinators[c](x, y) in p.objective:
-                out.append((x, y, c))
-        return sorted(set(out))
 
     def successor(d: Dataset, action) -> Dataset:
         x, y, c = action

@@ -18,7 +18,6 @@ from .chain import (
     forward_chain,
     implication_kb,
     inversion_rule,
-    rule_roundtrip_audit,
 )
 from .cluster import (
     Clustering,
@@ -36,7 +35,6 @@ from .mine import (
     mine_patterns,
     pattern_frequency,
     pattern_surprisingness,
-    pattern_to_metagraph,
 )
 from .evolve import EvolveResult, evolve, one_max, point_mutation, uniform_crossover
 from .ecan import EcanResult, ecan_run
@@ -45,11 +43,9 @@ __all__ = [
     "PlnError", "SingularityError", "cwig", "deduction", "inversion",
     "BidNode", "ChainResult", "Rule", "backward_chain_tv",
     "deduction_rule", "forward_chain", "implication_kb", "inversion_rule",
-    "rule_roundtrip_audit",
     "Clustering", "agglomerate", "logical_entropy", "merge_process", "partition_quality",
     "MinedPattern", "Pattern", "clause_frequency", "conj", "disj",
     "mine_patterns", "pattern_frequency", "pattern_surprisingness",
-    "pattern_to_metagraph",
     "EvolveResult", "evolve", "one_max", "point_mutation", "uniform_crossover",
     "EcanResult", "ecan_run",
 ]

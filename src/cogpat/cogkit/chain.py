@@ -85,8 +85,6 @@ class Rule:
     # key, tv), each instance once; given a premise key, only those using it
     instantiate: Callable
     reversible: bool = False
-    # unapply(model, conclusion key, tv) -> (premise key, tv) for the audit
-    unapply: Optional[Callable] = None
 
 
 def deduction_rule() -> Rule:
@@ -118,25 +116,7 @@ def inversion_rule() -> Rule:
                 continue
             yield ((a, b),), (b, a), tv
 
-    def unapply(model: KbModel, key, tv):
-        b, a = key
-        return (a, b), inversion(tv, model.priors[b], model.priors[a])
-
-    return Rule("inversion", instantiate, reversible=True, unapply=unapply)
-
-
-def rule_roundtrip_audit(rule: Rule, model: KbModel) -> bool:
-    """Reversible rules must recover each crisp premise they consumed."""
-    if not rule.reversible or rule.unapply is None:
-        return False
-    for premises, conclusion, tv in rule.instantiate(model):
-        back_key, back_tv = rule.unapply(model, conclusion, tv)
-        if back_key not in premises:
-            return False
-        orig = model.stmts[back_key]
-        if orig.s in (0.0, 1.0) and abs(back_tv.s - orig.s) > 1e-9:
-            return False
-    return True
+    return Rule("inversion", instantiate, reversible=True)
 
 
 @dataclass

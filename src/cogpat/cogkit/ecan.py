@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 from ..metagraph import as_view
 
@@ -14,14 +13,11 @@ from ..metagraph import as_view
 @dataclass
 class EcanResult:
     sti: dict                    # atom id -> importance after the run
-    rewards: list                # per executed step
     transfers: list              # (step, x, y)
     skipped: list                # steps with no linked neighbor
 
 
-def ecan_run(view, q: float, steps: int, seed: int = 0,
-             utility: Optional[Callable] = None) -> EcanResult:
-    """`utility(step, x, y) -> reward` attributes payoff to each transfer."""
+def ecan_run(view, q: float, steps: int, seed: int = 0) -> EcanResult:
     if q <= 0:
         raise ValueError("transfer quantum must be > 0")
     view = as_view(view)
@@ -34,7 +30,6 @@ def ecan_run(view, q: float, steps: int, seed: int = 0,
             for y in refs:
                 if x != y:
                     neighbors[x].append(y)
-    rewards = []
     transfers = []
     skipped = []
     ids = sorted(sti)
@@ -52,5 +47,4 @@ def ecan_run(view, q: float, steps: int, seed: int = 0,
         sti[x] -= q
         sti[y] += q
         transfers.append((step, x, y))
-        rewards.append(utility(step, x, y) if utility is not None else 0.0)
-    return EcanResult(sti, rewards, transfers, skipped)
+    return EcanResult(sti, transfers, skipped)

@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 
 from ..dds import greedy
-from ..metagraph import TypedMetagraph, as_view
+from ..metagraph import as_view
 from ..morphisms import memo_recurse
 
 Clause = tuple  # (edge_type, (var, var))
@@ -135,21 +135,6 @@ def _surprisingness(view, pattern: Pattern, freq: float) -> float:
     for clause in pattern.sorted_clauses:
         product *= clause_frequency(view, clause)
     return freq - product
-
-
-def pattern_to_metagraph(pattern: Pattern) -> TypedMetagraph:
-    """Render a pattern as a metagraph: a node per variable, an edge per
-    clause, and a top edge tying the clauses together."""
-    mg = TypedMetagraph()
-    var_ids: dict = {}
-    clause_ids = []
-    for etype, (v1, v2) in pattern.sorted_clauses:
-        for v in (v1, v2):
-            if v not in var_ids:
-                var_ids[v] = mg.add_node("Var")
-        clause_ids.append(mg.add_edge(etype, [var_ids[v1], var_ids[v2]]))
-    mg.add_edge("And" if pattern.kind == "conj" else "Or", clause_ids)
-    return mg
 
 
 @dataclass(frozen=True)

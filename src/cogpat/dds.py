@@ -239,9 +239,9 @@ def stochastic_dp(p: DdsProblem, rollouts: int, seed: int, budget_cells: int = 1
     return _backward_induction(p, budget_cells, sampled)
 
 
-def greedy_run(p: DdsProblem, s0, mode: str = "argmax", seed: int = 0) -> Trajectory:
-    """Follow immediate reward only: argmax (ties to lowest action key) or
-    sampling proportional to max(reward, 0)."""
+def greedy_run(p: DdsProblem, s0, seed: int = 0) -> Trajectory:
+    """Follow immediate reward only: argmax, ties to the lowest action key.
+    `seed` draws the successors of stochastic transitions."""
     rng = random.Random(seed)
     s = s0
     steps = []
@@ -251,16 +251,7 @@ def greedy_run(p: DdsProblem, s0, mode: str = "argmax", seed: int = 0) -> Trajec
             _check_declared(p, t, s)
             raise DeadEndError(f"no feasible action at stage {t}, state {s!r}")
         rewards = [p.reward(t, s, x) for x in acts]
-        if mode == "argmax":
-            i = rewards.index(max(rewards))
-        elif mode == "proportional":
-            weights = [max(r, 0.0) for r in rewards]
-            if sum(weights) <= 0.0:
-                weights = [1.0] * len(acts)
-            # the same draw as choosing from acts: choices picks by index
-            i = rng.choices(range(len(acts)), weights=weights, k=1)[0]
-        else:
-            raise ValueError(f"unknown greedy mode: {mode}")
+        i = rewards.index(max(rewards))
         x = acts[i]
         steps.append((s, x, rewards[i]))
         if t < p.n:
@@ -480,29 +471,6 @@ def gd1_noisy() -> DdsProblem:
         "states": {"1": ["A"], "2": ["B", "C"]},
         "actions": {
             "1": {"A": [{"name": "a3", "reward": 0, "next": {"B": 0.5, "C": 0.5}}]},
-            "2": {
-                "B": [{"name": "b", "reward": 1}],
-                "C": [{"name": "c", "reward": 5}],
-            },
-        },
-    }
-    return DdsProblem.from_tables(tables)
-
-
-def gd1_stochastic() -> DdsProblem:
-    """GD-1 plus a stochastic action a3 at A: reward 0, B/C each w.p. 0.5."""
-    tables = {
-        "stages": 2,
-        "alpha": 1.0,
-        "states": {"1": ["A"], "2": ["B", "C"]},
-        "actions": {
-            "1": {
-                "A": [
-                    {"name": "a1", "reward": 2, "next": {"B": 1.0}},
-                    {"name": "a2", "reward": 0, "next": {"C": 1.0}},
-                    {"name": "a3", "reward": 0, "next": {"B": 0.5, "C": 0.5}},
-                ]
-            },
             "2": {
                 "B": [{"name": "b", "reward": 1}],
                 "C": [{"name": "c", "reward": 5}],

@@ -9,6 +9,7 @@ referenced by name in fixtures and resolved against the registries below.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -44,8 +45,10 @@ def _require(data: dict, field: str, path) -> object:
 
 
 def _require_entries(entries: list, field: str, names: tuple, path) -> None:
-    """Each of `entries` (list `field`) is an object holding `names`; an
-    `Atom` decoded from a well-formed atom entry holds them all."""
+    """`entries` (field `field`) is a list and each entry an object holding
+    `names`; an `Atom` decoded from a well-formed atom entry holds them all."""
+    if not isinstance(entries, list):
+        raise FixtureError(f"{path}: field {field!r} must be a list")
     for i, entry in enumerate(entries):
         if type(entry) is Atom:
             continue
@@ -59,12 +62,8 @@ def _require_entries(entries: list, field: str, names: tuple, path) -> None:
 def load_metagraph(path) -> TypedMetagraph:
     data = load_json(path, decode_json)
     atoms = _require(data, "atoms", path)
-    dangling = data.get("dangling", [])
-    for field, entries in (("atoms", atoms), ("dangling", dangling)):
-        if not isinstance(entries, list):
-            raise FixtureError(f"{path}: field {field!r} must be a list")
     _require_entries(atoms, "atoms", ("id", "kind", "type"), path)
-    _require_entries(dangling, "dangling", ("type",), path)
+    _require_entries(data.get("dangling", []), "dangling", ("type",), path)
     try:
         return TypedMetagraph.from_dict(data)
     except Exception as exc:
@@ -100,10 +99,11 @@ RULE_FORMULAS = {
 def load_rules(path) -> list[Rule]:
     data = load_json(path)
     entries = _require(data, "rules", path)
+    _require_entries(entries, "rules", (), path)
     rules = []
     for i, entry in enumerate(entries):
         formula = entry.get("formula")
-        if formula not in RULE_FORMULAS:
+        if not isinstance(formula, str) or formula not in RULE_FORMULAS:
             raise FixtureError(f"{path}: rules[{i}] has unknown formula {formula!r}")
         rule = RULE_FORMULAS[formula]()
         declared = entry.get("reversible", rule.reversible)
@@ -112,7 +112,10 @@ def load_rules(path) -> list[Rule]:
                 f"{path}: rules[{i}] declares reversible={declared} "
                 f"but formula {formula!r} is reversible={rule.reversible}"
             )
-        rules.append(replace(rule, name=entry.get("name", rule.name)))
+        name = entry.get("name", rule.name)
+        if not isinstance(name, str):
+            raise FixtureError(f"{path}: rules[{i}] name {name!r} is not a string")
+        rules.append(replace(rule, name=name))
     return rules
 
 
@@ -131,26 +134,22 @@ def load_cofo(path) -> CofoProblem:
     hyps = _require(data, "hypotheses", path)
     rho = _require(data, "rho", path)
     names = _require(data, "combinators", path)
-    for name in names:
-        if name not in COMBINATORS:
-            raise FixtureError(f"{path}: unknown combinator {name!r}")
-    hypotheses = []
-    for i, h in enumerate(hyps):
-        for field in ("name", "prior", "table"):
-            if field not in h:
-                raise FixtureError(f"{path}: hypotheses[{i}] missing field {field!r}")
-        hypotheses.append(
-            Hypothesis(h["name"], {x: y for x, y in h["table"]}, h["prior"])
-        )
+    _require_entries(hyps, "hypotheses", ("name", "prior", "table"), path)
     try:
+        for name in names:
+            if name not in COMBINATORS:
+                raise FixtureError(f"{path}: unknown combinator {name!r}")
         return CofoProblem(
             domain=[(x, w) for x, w in domain],
             objective={x: y for x, y in objective},
-            hypotheses=hypotheses,
+            hypotheses=[Hypothesis(h["name"], {x: y for x, y in h["table"]}, h["prior"])
+                        for h in hyps],
             rho=rho,
             combinators={n: COMBINATORS[n] for n in names},
             tol=data.get("tol", 0.0),
         )
+    except FixtureError:
+        raise
     except Exception as exc:
         raise FixtureError(f"{path}: malformed problem ({exc})") from exc
 
@@ -160,10 +159,14 @@ def load_points(path):
     data = load_json(path)
     raw = _require(data, "points", path)
     k = _require(data, "k", path)
+    if not isinstance(raw, dict):
+        raise FixtureError(f"{path}: field 'points' must be an object")
     points = {}
     for label, xy in raw.items():
-        if not (isinstance(xy, list) and len(xy) == 2):
-            raise FixtureError(f"{path}: points[{label!r}] must be an [x, y] pair")
+        # nan, inf and ints too large for a float fail the bound
+        if not (isinstance(xy, list) and len(xy) == 2 and all(
+                type(v) in (int, float) and abs(v) <= sys.float_info.max for v in xy)):
+            raise FixtureError(f"{path}: points[{label!r}] must be an [x, y] pair of finite numbers")
         points[label] = (float(xy[0]), float(xy[1]))
     if not isinstance(k, int) or k < 1:
         raise FixtureError(f"{path}: field 'k' must be a positive integer")
@@ -206,13 +209,18 @@ def load_subpattern(path):
     data = load_json(path)
     items = _require(data, "items", path)
     names = _require(data, "ops", path)
+    sigma_name, sigma_star = data.get("sigma", "length"), data.get("sigma_star", 1.0)
+    for field, value in (("items", items), ("ops", names)):
+        if not isinstance(value, list):
+            raise FixtureError(f"{path}: field {field!r} must be a list")
     for name in names:
-        if name not in SUBPATTERN_OPS:
+        if not isinstance(name, str) or name not in SUBPATTERN_OPS:
             raise FixtureError(f"{path}: unknown operator {name!r}")
     ops = {n: SUBPATTERN_OPS[n] for n in names}
-    sigma_name = data.get("sigma", "length")
-    if sigma_name not in SIGMA_MEASURES:
+    if not isinstance(sigma_name, str) or sigma_name not in SIGMA_MEASURES:
         raise FixtureError(f"{path}: unknown simplicity measure {sigma_name!r}")
-    sm = SIGMA_MEASURES[sigma_name](float(data.get("sigma_star", 1.0)))
+    if type(sigma_star) not in (int, float) or not abs(sigma_star) <= sys.float_info.max:
+        raise FixtureError(f"{path}: field 'sigma_star' must be a finite number")
+    sm = SIGMA_MEASURES[sigma_name](float(sigma_star))
     items = [tuple(v) if isinstance(v, list) else v for v in items]
     return items, ops, sm

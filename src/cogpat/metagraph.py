@@ -174,14 +174,18 @@ def _finite(x: Any) -> bool:
     return type(x) is float and x - x == 0.0 or type(x) is int
 
 
-def _check_fields(a: Atom) -> None:
-    """The label is a string and sti and lti are finite numbers (`Atom`
-    itself checks the kind and targets)."""
+def _check_fields(a: Atom) -> Atom:
+    """`a`, once its label is a string, its sti and lti finite numbers and
+    its tv None or a `TruthValue` (`Atom` itself checks the kind and
+    targets)."""
     if type(a.type_label) is not str:
         raise MgIntegrityError(f"atom {a.id} type {a.type_label!r} is not a string")
-    for name, value in (("sti", a.sti), ("lti", a.lti)):
-        if not _finite(value):
-            raise MgIntegrityError(f"atom {a.id} {name} {value!r} is not a finite number")
+    if not (_finite(a.sti) and _finite(a.lti)):
+        name, value = ("lti", a.lti) if _finite(a.sti) else ("sti", a.sti)
+        raise MgIntegrityError(f"atom {a.id} {name} {value!r} is not a finite number")
+    if a.tv is not None and type(a.tv) is not TruthValue:
+        raise MgIntegrityError(f"atom {a.id} tv {a.tv!r} is not a TruthValue")
+    return a
 
 
 def _slot_type(slot: int, entry: Mapping[str, Any]) -> str:
@@ -349,7 +353,7 @@ class TypedMetagraph(_MgBase):
                 if slot >= len(self.dangling):
                     raise MgIntegrityError(f"dangling slot {slot} not declared")
         atom_id = self._next_id
-        self.atoms[atom_id] = Atom(atom_id, kind, type_label, targets, tv, sti, lti)
+        self.atoms[atom_id] = _check_fields(Atom(atom_id, kind, type_label, targets, tv, sti, lti))
         self._next_id += 1
         self._bump()
         return atom_id
@@ -361,11 +365,11 @@ class TypedMetagraph(_MgBase):
         return self.add_atom(EDGE, type_label, targets, **kw)
 
     def set_tv(self, atom_id: int, tv: TruthValue) -> None:
-        self.atoms[atom_id] = self.atoms[atom_id]._replace(tv=tv)
+        self.atoms[atom_id] = _check_fields(self.atoms[atom_id]._replace(tv=tv))
         self._bump()
 
     def set_sti(self, atom_id: int, sti: float) -> None:
-        self.atoms[atom_id] = self.atoms[atom_id]._replace(sti=sti)
+        self.atoms[atom_id] = _check_fields(self.atoms[atom_id]._replace(sti=sti))
         self._bump()
 
     # -- views --------------------------------------------------------------

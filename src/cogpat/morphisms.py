@@ -72,7 +72,6 @@ class Expansion:
 @dataclass
 class Coalgebra:
     expand: Callable[[Any], Expansion]
-    seed_key: Callable[[Any], Any] = lambda s: s
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +378,7 @@ def chrono_run(seed, coalg: Coalgebra, algebra: Algebra, budget: int) -> MorphRu
         if budget == 0:
             return algebra.unit
         value, run.memo, run.memo_hits = yield from _memo_walk(
-            seed, children_of, compute, coalg.seed_key)
+            seed, children_of, compute, lambda s: s)
         return value
 
     return run._bind(gen())

@@ -480,10 +480,10 @@ def sandwich_monotone(s0: FinRel, r: FinRel, f: FunctorSpec, carriers: Carriers)
     return compose(compose(f.lift(carriers, r), s0), r)
 
 
-def random_functional(rng: random.Random, carriers: Carriers, src: str, tgt: str, total: bool = True) -> FinRel:
+def random_functional(rng: random.Random, carriers: Carriers, src: str, tgt: str) -> FinRel:
     xs, ys = carriers.get(src), carriers.get(tgt)
     js = range(len(ys))  # choice(js) draws what choice(ys) draws
-    rows = tuple([1 << rng.choice(js) if total or rng.random() < 0.8 else 0 for _ in xs])
+    rows = tuple([1 << rng.choice(js) for _ in xs])
     return FinRel(src, tgt, rows, xs, ys)
 
 

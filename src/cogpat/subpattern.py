@@ -69,18 +69,18 @@ class AuditReport:
         }
 
 
-def _eval_interchange(ci, cj, x, y, z, equal):
+def _eval_interchange(ci, cj, x, y, z):
     """Returns (holds, left, right) or None when an op is undefined."""
     try:
         left = ci(cj(x, y), z)
         right = cj(x, ci(y, z))
     except ValueError:
         return None
-    return equal(left, right), left, right
+    return left == right, left, right
 
 
 def check_mutual_associativity(ops: dict, domain, trials: int = 1000,
-                               seed: int = 0, equal: Callable = None) -> AuditReport:
+                               seed: int = 0) -> AuditReport:
     """Audit the interchange identity over every ordered operator pair.
     Exhaustive over domain**3 when the domain has at most 8 elements,
     sampled `trials` triples per pair otherwise.  An operator raising
@@ -90,8 +90,6 @@ def check_mutual_associativity(ops: dict, domain, trials: int = 1000,
     domain = list(domain)
     if not domain:
         raise ValueError("domain must be nonempty")
-    if equal is None:
-        equal = lambda a, b: a == b
     exhaustive = len(domain) <= 8
     rng = random.Random(seed)
     pairs = []
@@ -109,7 +107,7 @@ def check_mutual_associativity(ops: dict, domain, trials: int = 1000,
             checked = 0
             undefined = 0
             for x, y, z in triples:
-                res = _eval_interchange(ci, cj, x, y, z, equal)
+                res = _eval_interchange(ci, cj, x, y, z)
                 if res is None:
                     undefined += 1
                     continue
@@ -144,12 +142,10 @@ class SubpatternDag:
                     frontier.append(nxt)
         return seen
 
-    def check(self, ops: dict, sm: SimplicityMeasure, equal: Callable = None) -> None:
+    def check(self, ops: dict, sm: SimplicityMeasure) -> None:
         """Re-evaluate every stored witness; raises on any stale edge."""
-        if equal is None:
-            equal = lambda a, b: a == b
         for x, y, (name, z) in self.edges:
-            if not equal(ops[name](y, z), x):
+            if ops[name](y, z) != x:
                 raise ValueError(f"witness no longer rebuilds {x!r}")
             if not sm.sigma(y) + sm.sigma(z) + sm.sigma_star(name, y, z) < sm.sigma(x):
                 raise ValueError(f"simplification inequality fails for {x!r}")
@@ -165,12 +161,9 @@ class SubpatternDag:
         }
 
 
-def build_subpattern_dag(items, ops: dict, sm: SimplicityMeasure,
-                         equal: Callable = None) -> SubpatternDag:
+def build_subpattern_dag(items, ops: dict, sm: SimplicityMeasure) -> SubpatternDag:
     """Exhaustively insert every edge x -> y witnessed by op(y, z) = x whose
     combined simplicity strictly undercuts sigma(x)."""
-    if equal is None:
-        equal = lambda a, b: a == b
     items = list(items)
     dag = SubpatternDag(items)
     for name, op in sorted(ops.items()):
@@ -180,7 +173,7 @@ def build_subpattern_dag(items, ops: dict, sm: SimplicityMeasure,
             except ValueError:
                 continue
             for x in items:
-                if not equal(built, x):
+                if built != x:
                     continue
                 if sm.sigma(y) + sm.sigma(z) + sm.sigma_star(name, y, z) < sm.sigma(x):
                     dag.edges.append((x, y, (name, z)))

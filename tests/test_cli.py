@@ -7,9 +7,11 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cogpat
 from cogpat import cli
@@ -17,8 +19,10 @@ from cogpat.cli import _build_parser, main
 from cogpat.dds import exact_dp
 from cogpat.fixtures import (
     FixtureError,
+    load_cofo,
     load_dds,
     load_metagraph,
+    load_points,
     load_rules,
     load_subpattern,
 )
@@ -93,6 +97,46 @@ class TestLoaders:
         assert items == ["ab", "abab", ""]
         assert ops["double"]("ab", "") == "abab"
         assert sm.sigma("abab") == 4
+
+
+FIXTURE_KEYS = st.sampled_from(["rules", "formula", "name", "reversible", "domain", "objective",
+                                "hypotheses", "prior", "table", "rho", "combinators", "tol",
+                                "points", "k", "items", "ops", "sigma", "sigma_star"])
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from(["deduction", "left", "double", "length", "x", ""]),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(FIXTURE_KEYS, children, max_size=5),
+    max_leaves=20)
+
+
+@st.composite
+def edited(draw, fixture):
+    """`fixture`'s JSON with one value, at a drawn depth, replaced by any JSON value."""
+    root = {"fixture": json.loads((FIXTURES / fixture).read_text())}
+    holder, key = root, "fixture"
+    while isinstance(holder[key], (dict, list)) and holder[key] and draw(st.booleans()):
+        holder, key = holder[key], draw(st.sampled_from(
+            sorted(holder[key]) if isinstance(holder[key], dict) else range(len(holder[key]))))
+    holder[key] = draw(ANY_JSON)
+    return root["fixture"]
+
+
+class TestFixtureLoadersRobust:
+    @pytest.mark.parametrize("fixture, load", [
+        ("rules.json", load_rules), ("cofo_two_hypotheses.json", load_cofo),
+        ("points_two_pairs.json", load_points), ("subpattern_doubling.json", load_subpattern)])
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_any_json_loads_or_is_a_fixture_error(self, fixture, load, data):
+        value = data.draw(edited(fixture) | ANY_JSON)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / fixture
+            path.write_text(json.dumps(value))
+            try:
+                load(path)
+            except FixtureError:
+                pass
 
 
 class TestExitCodes:
@@ -181,6 +225,34 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command, fixture, edit, message", [
+        (["cog", "chain", "--fixture", FIXTURES / "kb_two_hop.json", "--rules"], "rules.json",
+         lambda d: d.update(rules=[5]), "rules.json: rules[0] must be an object"),
+        (["cog", "chain", "--fixture", FIXTURES / "kb_two_hop.json", "--rules"], "rules.json",
+         lambda d: d.update(rules=5), "rules.json: field 'rules' must be a list"),
+        (["cofo", "run", "--fixture"], "cofo_two_hypotheses.json",
+         lambda d: d.update(hypotheses=[5]), "cofo_two_hypotheses.json: hypotheses[0] must be an object"),
+        (["cog", "cluster", "--fixture"], "points_two_pairs.json",
+         lambda d: d.update(points=[1, 2]), "points_two_pairs.json: field 'points' must be an object"),
+        *((["cog", "cluster", "--fixture"], "points_two_pairs.json",
+           lambda d, bad=bad: d["points"].update(p1=bad),
+           "points_two_pairs.json: points['p1'] must be an [x, y] pair of finite numbers")
+          for bad in (["x", 1], [float("nan"), 1.0], [0.0, float("inf")], [10**400, 1.0])),
+        *((["subpattern", "dag", "--fixture"], "subpattern_doubling.json",
+           lambda d, bad=bad: d.update(sigma_star=bad),
+           "subpattern_doubling.json: field 'sigma_star' must be a finite number")
+          for bad in ("x", float("nan"), float("inf"), None)),
+    ])
+    def test_malformed_fixture_is_usage_error(self, tmp_path, command, fixture, edit, message,
+                                              capsys):
+        data = json.loads((FIXTURES / fixture).read_text())
+        edit(data)
+        path = tmp_path / fixture
+        path.write_text(json.dumps(data))
+        assert run(*command, path, "--out", tmp_path / "out") == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @staticmethod
     def cofo_fixture(tmp_path, edit) -> Path:
         data = json.loads((FIXTURES / "cofo_two_hypotheses.json").read_text())
@@ -194,6 +266,8 @@ class TestExitCodes:
          "hypothesis 'mirror' has no value at domain point 3"),
         (lambda d: d["objective"].pop(), "objective has no value at domain point 4"),
         (lambda d: d["domain"].append([2, 1.0]), "domain repeats a point"),
+        (lambda d: d.update(tol=float("nan")), "tol must be >= 0"),
+        (lambda d: d.update(tol="x"), "malformed problem ('>=' not supported"),
     ])
     def test_malformed_cofo_problem(self, tmp_path, edit, message, capsys):
         path = self.cofo_fixture(tmp_path, edit)

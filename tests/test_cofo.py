@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,6 @@ from cogpat.cofo import (
     CofoProblem,
     Hypothesis,
     InconsistencyError,
-    combinator_lift,
     extend_dataset,
     info_gain,
     make_cofo_dds,
@@ -172,37 +172,6 @@ class TestInfoGain:
         assert g.bits == pytest.approx(h_before - h_after, abs=1e-12)
 
 
-class TestCombinatorLift:
-    def test_projection_closure(self):
-        p = two_hypothesis_problem()
-        p_cond, _ = combinator_lift(p, "left", (), trials=500, seed=0)
-        assert p_cond == 1.0
-
-    def test_full_support_both_one(self):
-        xs = [1, 2, 3, 4]
-        obj = {x: float(x) for x in xs}
-        h = Hypothesis("flat", {x: 1.0 for x in xs}, 1.0)
-        p = CofoProblem(
-            uniform_domain(xs), obj, [h], 0.5, {"left": lambda x, y: x}
-        )
-        p_cond, p_base = combinator_lift(p, "left", (), trials=200, seed=1)
-        assert p_cond == 1.0
-        assert p_base == pytest.approx(1.0)
-
-    def test_subgroup_closure(self):
-        p = multiples_of_four_problem()
-        ps = promising_set(p, ())
-        assert set(ps.support) == {0, 4, 8, 12}
-        p_cond, p_base = combinator_lift(p, "addmod", (), trials=1000, seed=2)
-        assert p_cond == 1.0
-        assert p_base == pytest.approx(0.25)
-
-    def test_trials_validated(self):
-        p = two_hypothesis_problem()
-        with pytest.raises(CofoError):
-            combinator_lift(p, "left", (), trials=0, seed=0)
-
-
 class TestMakeCofoDds:
     def test_horizon_one_exact_dp_finds_the_bit(self):
         p = two_hypothesis_problem()
@@ -229,25 +198,20 @@ class TestMakeCofoDds:
         assert traj.total == pytest.approx(0.0)
 
     def test_rewards_telescope(self):
+        # along a seeded uniform draw over each stage's actions, not greedy's path
         p = two_hypothesis_problem()
         dds = make_cofo_dds(p, horizon=3)
-        traj = greedy_run(dds, (), mode="proportional", seed=7)
-        d = ()
-        for _t, action, _r in traj.steps:
+        rng = random.Random(7)
+        d, total, taken = (), 0.0, []
+        for t in range(1, dds.n + 1):
+            action = rng.choice(dds.actions(t, d))
+            taken.append(action)
+            total += dds.reward(t, d, action)
             x, y, c = action
             z = p.combinators[c](x, y)
             d = extend_dataset(d, (z, p.f(z)))
-        assert traj.total == pytest.approx(quality(p, ()) - quality(p, d), abs=1e-9)
-
-    def test_sampled_actions_subset_of_exhaustive(self):
-        p = two_hypothesis_problem()
-        full = make_cofo_dds(p, horizon=1)
-        sub = make_cofo_dds(p, horizon=1, sampler=("sample", 6), seed=3)
-        all_actions = set(full.actions(1, ()))
-        assert set(sub.actions(1, ())) <= all_actions
-        # bit-identical under the same seed
-        again = make_cofo_dds(p, horizon=1, sampler=("sample", 6), seed=3)
-        assert sub.actions(1, ()) == again.actions(1, ())
+        assert taken != [x for _, x, _ in greedy_run(dds, ()).steps]
+        assert total == pytest.approx(quality(p, ()) - quality(p, d), abs=1e-9)
 
 
 def all_datasets(p, max_size):
@@ -376,8 +340,7 @@ class TestAdapterMemo:
             tol=data.draw(st.sampled_from([0.0, 0.5, 1.0])),
         )
         horizon = data.draw(st.integers(1, 3), label="horizon")
-        sampler = data.draw(st.sampled_from(["exhaustive", ("sample", 6)]))
-        dds = make_cofo_dds(p, horizon, sampler=sampler, seed=3)
+        dds = make_cofo_dds(p, horizon)
         for t in range(1, horizon + 1):
             for d in dds.states(t):
                 brute = {x: 0.0 for x in p.points}
@@ -388,7 +351,7 @@ class TestAdapterMemo:
                     for x in top_set(h.table, p.domain, p.rho):
                         brute[x] += h.prior / mass
                 assert promising_set(p, d).chi == brute
-                fresh = make_cofo_dds(p, 1, sampler=sampler, seed=3)
+                fresh = make_cofo_dds(p, 1)
                 assert dds.actions(t, d) == fresh.actions(1, d)
                 for a in dds.actions(t, d):
                     (d2, _), = dds.transition(t, d, a)

@@ -32,15 +32,12 @@ from cogpat.cogkit import (
     partition_quality,
     pattern_frequency,
     pattern_surprisingness,
-    pattern_to_metagraph,
     point_mutation,
-    rule_roundtrip_audit,
     uniform_crossover,
 )
 from cogpat.cogkit import chain as chain_module, mine
 from cogpat.cogkit.chain import PASS, BidNode, KbModel, StepSet, _apply, _candidates
 from cogpat.cogkit.pln import _digamma
-from cogpat.metagraph import canonical_form
 
 
 class TestDeduction:
@@ -303,20 +300,6 @@ class TestStepSet:
             expected += sum(k in premises or conclusion == k for rule in self.RULES
                             for premises, conclusion, _ in rule.instantiate(model))
         assert len(calls) == expected < 2 * first
-
-
-class TestRuleAudit:
-    def test_inversion_is_reversible(self):
-        model = KbModel.from_view(
-            implication_kb(
-                {"A": (0.3, 0.9), "B": (0.3, 0.9)}, [("A", "B", 1.0, 0.9)]
-            )
-        )
-        assert rule_roundtrip_audit(inversion_rule(), model)
-
-    def test_deduction_is_not(self):
-        model = KbModel.from_view(two_hop_kb())
-        assert not rule_roundtrip_audit(deduction_rule(), model)
 
 
 class TestBackwardChain:
@@ -615,16 +598,13 @@ class TestPatternMining:
         p = conj(("t", ("X", "Y")), ("t", ("Z", "Y")), ("t", ("W", "Y")))
         assert pattern_frequency(mg.snapshot(), p) == 1.0
 
-    def test_combination_associative_via_canonical_form(self):
+    def test_combination_associative(self):
         p = conj(("likes", ("X", "Y")))
         q = conj(("knows", ("Y", "Z")))
         r = conj(("likes", ("Z", "W")))
         left = p.combine(q).combine(r)
         right = p.combine(q.combine(r))
         assert left == right
-        assert canonical_form(pattern_to_metagraph(left)) == canonical_form(
-            pattern_to_metagraph(right)
-        )
 
     def test_each_scored_pattern_joins_once(self, monkeypatch):
         view = likes_kb()
@@ -836,13 +816,3 @@ class TestEcan:
         with pytest.raises(ValueError):
             ecan_run(mg.snapshot(), q=0.0, steps=1)
 
-    def test_utility_trace_rewards(self):
-        mg = TypedMetagraph()
-        x = mg.add_node("N", sti=10.0)
-        y = mg.add_node("N")
-        mg.add_edge("link", [x, y])
-        res = ecan_run(
-            mg.snapshot(), q=1.0, steps=4, seed=1,
-            utility=lambda step, a, b: float(step),
-        )
-        assert res.rewards == [0.0, 1.0, 2.0, 3.0]

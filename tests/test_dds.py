@@ -19,7 +19,6 @@ from cogpat.dds import (
     exact_dp,
     gd1,
     gd1_noisy,
-    gd1_stochastic,
     greedy,
     greedy_run,
     plan,
@@ -78,12 +77,6 @@ class TestGreedyRun:
         assert traj.steps[0][1] == "a3"
         assert len(traj.steps) == 2
 
-    def test_proportional_one_positive(self):
-        p = gd1()
-        for seed in range(10):
-            traj = greedy_run(p, "A", mode="proportional", seed=seed)
-            assert traj.steps[0][1] == "a1"  # only positive-reward action
-
     def test_dead_end(self):
         p = DdsProblem(
             n=2,
@@ -98,7 +91,7 @@ class TestGreedyRun:
     def test_discounted_sum_identity(self):
         p = random_problem(11, stochastic=True)
         s0 = p.states(1)[0]
-        traj = greedy_run(p, s0, mode="proportional", seed=5)
+        traj = greedy_run(p, s0, seed=5)
         direct = sum(p.alpha ** t * r for t, (_, _, r) in enumerate(traj.steps))
         assert traj.total == pytest.approx(direct, abs=1e-9)
 
@@ -125,10 +118,10 @@ class TestExactDp:
         assert vf.value(1, "s") == 7.0
 
     def test_stochastic_action_expectation(self):
-        vf = exact_dp(gd1_stochastic())
-        # a3's value is 0.5*1 + 0.5*5 = 3; optimum stays a2 at 5
-        assert vf.value(1, "A") == 5.0
-        assert vf.best_action(1, "A") == "a2"
+        vf = exact_dp(gd1_noisy())
+        # a3's value is 0.5*1 + 0.5*5 = 3
+        assert vf.value(1, "A") == 3.0
+        assert vf.best_action(1, "A") == "a3"
 
     def test_beats_greedy_everywhere(self):
         for seed in range(30):
@@ -286,7 +279,7 @@ class TestChronoSolve:
         }
 
     def test_memo_hits_on_shared_successors(self):
-        vf = chrono_solve(gd1_stochastic())
+        vf = chrono_solve(gd1_noisy())
         assert vf.memo_hits > 0
 
     def test_random_instances_match_exact(self):

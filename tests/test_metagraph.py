@@ -393,6 +393,57 @@ class TestJsonRoundTrip:
         assert canonical_form(back) == canonical_form(mg)
 
 
+# each call hands the mutation API a field that loading rejects; atom 0 exists
+NAN, INF = float("nan"), float("inf")
+BAD_CALLS = [
+    *(("add_node", [bad], {}) for bad in (5, None, ("A",))),
+    ("add_edge", [5, [0]], {}),
+    *(("add_node", ["N"], {"sti": bad}) for bad in (NAN, INF, -INF, True, "high", None)),
+    *(("add_edge", ["E", [0]], {"lti": bad}) for bad in (NAN, False)),
+    *(("add_node", ["N"], {"tv": bad}) for bad in ((0.5, 0.5), {"s": 0.5, "c": 0.5}, 0.5)),
+    ("set_tv", [0, (0.5, 0.5)], {}),
+    *(("set_sti", [0, bad], {}) for bad in (NAN, True, "high")),
+]
+ANY_NUMBER = st.floats() | st.integers() | st.booleans() | st.none() | st.just("x")
+ANY_TV = (st.none() | st.builds(TruthValue, st.floats(0, 1), st.floats(0, 1, exclude_max=True))
+          | st.tuples(st.floats(0, 1), st.floats(0, 1)) | ANY_NUMBER)
+
+
+class TestMutationChecks:
+    @pytest.mark.parametrize("method, args, kw", BAD_CALLS)
+    def test_rejected_and_store_kept(self, method, args, kw):
+        mg = TypedMetagraph()
+        mg.add_node("A", tv=TruthValue(0.5, 0.5))
+        before = mg.to_json(), mg.version, mg._next_id
+        with pytest.raises(MgIntegrityError):
+            getattr(mg, method)(*args, **kw)
+        assert (mg.to_json(), mg.version, mg._next_id) == before
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_what_it_builds_reloads(self, data):
+        mg = TypedMetagraph()
+        for _ in range(data.draw(st.integers(1, 8))):
+            ops = ["node", "edge", "tv", "sti"] if mg.atoms else ["node"]
+            op, ids = data.draw(st.sampled_from(ops)), st.sampled_from(sorted(mg.atoms))
+            label = data.draw(st.sampled_from(LABELS) | st.integers() | st.none())
+            try:
+                if op == "node":
+                    mg.add_node(label, tv=data.draw(ANY_TV), sti=data.draw(ANY_NUMBER),
+                                lti=data.draw(ANY_NUMBER))
+                elif op == "edge":
+                    mg.add_edge(label, data.draw(st.lists(ids, min_size=1, max_size=3)),
+                                tv=data.draw(ANY_TV), sti=data.draw(ANY_NUMBER))
+                elif op == "tv":
+                    mg.set_tv(data.draw(ids), data.draw(ANY_TV))
+                else:
+                    mg.set_sti(data.draw(ids), data.draw(ANY_NUMBER))
+            except MgIntegrityError:
+                pass
+        text = mg.to_json()
+        assert TypedMetagraph.from_json(text).to_json() == text
+
+
 class TestLoadRejectsBadIds:
     """An id must be a non-negative int (a negative one reads as a slot
     reference, and 1.5, True and 0.0 would alias or break integer ids)."""

@@ -249,7 +249,7 @@ class TestChrono:
                 children = [(k - 1, None)] * fanout if k > 0 else []
                 return Expansion([piece], children)
 
-            coalg = Coalgebra(expand, seed_key=lambda s: s)
+            coalg = Coalgebra(expand)
             fused, _ = chrono(depth, coalg, SUM, budget=10_000)
             # unfused pipeline needs per-occurrence expansion: disable memo
             # sharing by making seeds unique

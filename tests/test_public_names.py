@@ -4,8 +4,8 @@
 A reference is an import of the name from its module (directly, or through
 a package `__init__` that re-exports it) or an attribute read on an
 imported module.  A package `__init__`'s own re-exports are not
-references: they only pass names on.  The "test only" group is what ROADMAP
-D16 trims: each of those names gets a CLI path or goes with its tests.
+references: they only pass names on.  A name that only tests reach, with no
+reason of its own to stay, goes with its tests.
 """
 
 import ast
@@ -69,9 +69,11 @@ ALLOWED = {
              "morphisms.unfold", "morphisms.unfold_run"),
     **_names("test oracle: problem generator for the dds and relalg suites",
              "dds.gd1_noisy", "dds.random_problem", "relalg.sum_fixture"),
-    **_names("test only (D16: give it a CLI path or remove it)",
-             "cofo.combinator_lift", "cogkit.chain.rule_roundtrip_audit",
-             "cogkit.mine.pattern_to_metagraph", "dds.gd1_stochastic", "dds.single_peak_audit",
+    **_names("greedy-theorem precondition: the theorem property's oracle, and what a "
+             "greedy run's certificate will check (ROADMAP D9)",
+             "dds.single_peak_audit"),
+    **_names("relation-algebra primitive README lists; the residual Galois law property "
+             "behind the theorem checks uses it",
              "relalg.full", "relalg.residual"),
 }
 
