@@ -31,6 +31,7 @@ from .cogkit import (
 )
 from .cogkit.chain import deduction_rule
 from .fixtures import (
+    SIGMA_MEASURES,
     FixtureError,
     load_cofo,
     load_dds,
@@ -49,7 +50,6 @@ from .relalg import (
     verify_greedy_theorem,
 )
 from .subpattern import (
-    SimplicityMeasure,
     alignment_score,
     build_subpattern_dag,
     check_mutual_associativity,
@@ -71,10 +71,6 @@ def _write_text(args, name: str, text: str) -> Path:
 
 def _write_json(args, name: str, obj) -> Path:
     return _write_text(args, name, json.dumps(obj, sort_keys=True, indent=2) + "\n")
-
-
-def _tv_dict(tv) -> dict:
-    return {"s": tv.s, "c": tv.c}
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +199,12 @@ def cmd_relalg_verify_dp(args) -> int:
 def cmd_cog_chain(args) -> int:
     kb = load_kb(args.fixture)
     rules = load_rules(args.rules) if args.rules else [deduction_rule()]
-    res = forward_chain(kb, rules, args.budget, executor=args.executor)
+    try:
+        res = forward_chain(kb, rules, args.budget, executor=args.executor)
+    except ValueError as exc:  # the kb holds no statements
+        raise FixtureError(f"{args.fixture}: {exc}") from exc
     _write_json(args, "chain.json", {
-        "statements": {f"{a}->{b}": _tv_dict(tv) for (a, b), tv in sorted(res.statements.items())},
+        "statements": {f"{a}->{b}": tv.to_dict() for (a, b), tv in sorted(res.statements.items())},
         "trace": [
             {"premises": [f"{a}->{b}" for a, b in premises], "rule": rname,
              "conclusion": f"{c[0]}->{c[1]}", "reward": reward}
@@ -224,11 +223,11 @@ def cmd_cog_backchain(args) -> int:
     tv, nodes = backward_chain_tv(kb, (src, dst), args.budget, seed=args.seed)
     _write_json(args, "backchain.json", {
         "target": f"{src}->{dst}",
-        "tv": _tv_dict(tv),
+        "tv": tv.to_dict(),
         "expansions": sum(1 for n in nodes if n.children),
         "nodes": [
             {"id": n.id, "statement": f"{n.statement[0]}->{n.statement[1]}",
-             "rule": n.rule, "tv": _tv_dict(n.tv),
+             "rule": n.rule, "tv": n.tv.to_dict(),
              "children": list(n.children), "leaf_kind": n.leaf_kind}
             for n in nodes
         ],
@@ -236,12 +235,19 @@ def cmd_cog_backchain(args) -> int:
     return 0
 
 
-def cmd_cog_cluster(args) -> int:
-    points, k = load_points(args.fixture)
-    dist = lambda x, y: (
+def _distance(points: dict):
+    """Euclidean distance between two labels of `points`."""
+    return lambda x, y: (
         (points[x][0] - points[y][0]) ** 2 + (points[x][1] - points[y][1]) ** 2
     ) ** 0.5
-    clustering = agglomerate(list(points), dist, k, args.executor)
+
+
+def cmd_cog_cluster(args) -> int:
+    points, k = load_points(args.fixture)
+    try:
+        clustering = agglomerate(list(points), _distance(points), k, args.executor)
+    except OverflowError as exc:  # a squared coordinate gap beyond the float range
+        raise FixtureError(f"{args.fixture}: point distance out of range ({exc})") from exc
     _write_json(args, "clusters.json", {
         "blocks": sorted(sorted(b) for b in clustering.blocks),
         "quality": clustering.quality,
@@ -311,6 +317,8 @@ def cmd_subpattern_audit(args) -> int:
 
 def cmd_subpattern_dag(args) -> int:
     items, ops, sm = load_subpattern(args.fixture)
+    if not isinstance(items[0], (str, tuple)):  # the items are all of one kind
+        raise FixtureError(f"{args.fixture}: simplicity measures take strings or lists, not numbers")
     dag = build_subpattern_dag(items, ops, sm)
     dag.check(ops, sm)
     _write_json(args, "dag.json", dag.to_dict())
@@ -321,15 +329,11 @@ def _five_item_alignment():
     """Greedy two-group agglomeration of five planar points, aligned against
     the union-merge subpattern dag over the blocks it visits."""
     points = {0: (0.0, 0.0), 1: (0.0, 1.0), 2: (10.0, 0.0), 3: (10.0, 1.0), 4: (10.0, 2.0)}
-    dist = lambda x, y: (
-        (points[x][0] - points[y][0]) ** 2 + (points[x][1] - points[y][1]) ** 2
-    ) ** 0.5
-    merges, _ = ddsmod.greedy(horizon=len(points) - 2, **merge_process(sorted(points), dist))
+    merges, _ = ddsmod.greedy(horizon=len(points) - 2,
+                              **merge_process(sorted(points), _distance(points)))
     trace = [(a | b, x) for a, b in merges for x in (a, b)]
     items = sorted({v for edge in trace for v in edge}, key=sorted)
-    sm = SimplicityMeasure(
-        sigma=lambda s: float(len(s) ** 2), sigma_star=lambda name, y, z: 1.0
-    )
+    sm = SIGMA_MEASURES["size-squared"](1.0)
     dag = build_subpattern_dag(items, {"merge": disjoint_union}, sm)
     mapping = {v: v for v in items}
     return trace, dag, mapping

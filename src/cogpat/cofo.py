@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
 from .dds import DdsProblem, reachable_problem
+from .metagraph import is_finite_number
 
 
 class CofoError(Exception):
@@ -78,6 +79,9 @@ class CofoProblem:
             missing = [x for x in self._weights if x not in table]
             if missing:
                 raise CofoError(f"{name} has no value at domain point {missing[0]!r}")
+            bad = [x for x in self._weights if not is_finite_number(table[x])]
+            if bad:
+                raise CofoError(f"{name} value at domain point {bad[0]!r} is not a finite number")
         # data-independent, so one per hypothesis, in hypothesis order
         self._top_sets = [top_set(h.table, self.domain, self.rho) for h in self.hypotheses]
 

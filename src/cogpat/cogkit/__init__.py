@@ -38,14 +38,3 @@ from .mine import (
 )
 from .evolve import EvolveResult, evolve, one_max, point_mutation, uniform_crossover
 from .ecan import EcanResult, ecan_run
-
-__all__ = [
-    "PlnError", "SingularityError", "cwig", "deduction", "inversion",
-    "BidNode", "ChainResult", "Rule", "backward_chain_tv",
-    "deduction_rule", "forward_chain", "implication_kb", "inversion_rule",
-    "Clustering", "agglomerate", "logical_entropy", "merge_process", "partition_quality",
-    "MinedPattern", "Pattern", "clause_frequency", "conj", "disj",
-    "mine_patterns", "pattern_frequency", "pattern_surprisingness",
-    "EvolveResult", "evolve", "one_max", "point_mutation", "uniform_crossover",
-    "EcanResult", "ecan_run",
-]

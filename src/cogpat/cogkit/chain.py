@@ -7,15 +7,18 @@ inference rules, scoring each conclusion by the information it adds over the
 kb's current belief.  Backward chaining grows an inference dag from a query
 statement toward kb leaves and reads the query's truth value off the root.
 
-Greedy forward chaining keeps one `StepSet` by delta (semi-naive
+Both forward executors read one `StepSet`, kept by delta (semi-naive
 evaluation): a conclusion re-instantiates the instances that use it as a
-premise and re-scores those that conclude it.  Invariant: the kept set
-equals a from-scratch rebuild over the same model, zero-reward instances
-included, since a later conclusion can make their reward positive.
+premise and re-scores those that conclude it.  Greedy keeps one set along
+its run; dp copies the start's set and applies a state's conclusions in the
+order the state lists them.  Invariant: the kept set equals a from-scratch
+rebuild over the same model, zero-reward instances included, since a later
+conclusion can make their reward positive.
 """
 
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -168,12 +171,9 @@ class StepSet:
         key = min(key for key, (_, reward) in self.steps.items() if reward == top)
         return (*key, *self.steps[key])
 
-
-def _candidates(model: KbModel, rules) -> list:
-    """The steps worth taking from `model`, those with positive reward, in
-    key order: the live part of a from-scratch `StepSet`."""
-    steps = StepSet(model, rules).steps
-    return [(*key, *steps[key]) for key in sorted(steps) if steps[key][1] > 0.0]
+    def live(self) -> list:
+        """The steps worth taking, those with positive reward, in key order."""
+        return [(*key, *self.steps[key]) for key in sorted(self.steps) if self.steps[key][1] > 0.0]
 
 
 def _apply(model: KbModel, conclusion, tv) -> KbModel:
@@ -218,17 +218,15 @@ def forward_chain(kb, rules, steps: int, executor: str = "greedy") -> ChainResul
 def _forward_chain_dds(model: KbModel, rules, steps: int) -> ChainResult:
     """Plan the whole step budget with the exact solver, then replay the
     optimal action sequence."""
-    base = model
-
-    def rebuild(state):
-        m = base
-        for conclusion, tv in state:
-            m = _apply(m, conclusion, tv)
-        return m
+    start = StepSet(model, rules)
 
     def actions(t, state):
+        kept = copy.copy(start)
+        kept.steps = dict(start.steps)
+        for conclusion, tv in state:
+            kept.apply(conclusion, tv)
         # exhausted states idle so shorter plans stay feasible
-        return _candidates(rebuild(state), rules) or [PASS]
+        return kept.live() or [PASS]
 
     def successor(state, action):
         _, _, conclusion, tv, _ = action
@@ -238,7 +236,7 @@ def _forward_chain_dds(model: KbModel, rules, steps: int) -> ChainResult:
 
     taken, _ = plan((), steps, actions, successor, lambda t, s, x: x[4],
                     action_key=lambda x: repr((x[1], x[2])))
-    return _replay(base, taken)
+    return _replay(model, taken)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,8 @@ def ecan_run(view, q: float, steps: int, seed: int = 0) -> EcanResult:
     transfers = []
     skipped = []
     ids = sorted(sti)
+    if not ids:  # no atom to draw: every step is skipped
+        return EcanResult(sti, [], list(range(steps)))
     for step in range(steps):
         weights = [max(sti[i], 0.0) for i in ids]
         if sum(weights) <= 0.0:

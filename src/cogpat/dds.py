@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Callable, Mapping, Sequence
 
+from .metagraph import is_finite_number
 from .morphisms import memo_recurse
 
 NEG_INF = float("-inf")
@@ -72,17 +73,46 @@ class DdsProblem:
 
     @staticmethod
     def from_tables(spec: Mapping) -> "DdsProblem":
-        """Build a problem from the tabulated JSON fixture layout."""
+        """Build a problem from the tabulated JSON fixture layout.  Raises
+        DdsError unless stages is an integer from 1 to the number of stages
+        that declare states (so no solver loops past the table), stage 1
+        declares a state, state and action names are strings, rewards and
+        alpha are finite numbers, and each `next` maps names to finite
+        numbers >= 0."""
         n = spec["stages"]
-        states = {int(t): list(v) for t, v in spec["states"].items()}
+        states = {int(t): v for t, v in spec["states"].items()}
+        if type(n) is not int or not 1 <= n <= len(states):
+            raise DdsError(f"stages must be an integer from 1 to {len(states)}, the number of "
+                           f"stages that declare states, got {n!r}")
+        for t, names in states.items():
+            if type(names) is not list or not all(type(s) is str for s in names):
+                raise DdsError(f"stage {t} states must be a list of names, got {names!r}")
+        if not states.get(1):
+            raise DdsError("stage 1 declares no state")
+        alpha = spec.get("alpha", 1.0)
+        if not is_finite_number(alpha):
+            raise DdsError(f"alpha must be a finite number, got {alpha!r}")
         acts: dict[tuple[int, Any], list] = {}
         info: dict[tuple[int, Any, Any], dict] = {}
+        rewards, probabilities = [], []
         for t_str, per_state in spec["actions"].items():
             t = int(t_str)
             for s, actions in per_state.items():
                 acts[(t, s)] = [a["name"] for a in actions]
                 for a in actions:
-                    info[(t, s, a["name"])] = a
+                    x, nxt = a["name"], a.get("next", {})
+                    if type(x) is not str or type(nxt) is not dict:
+                        raise DdsError(f"action {x!r} at stage {t}, state {s!r}: its name "
+                                       "must be a string and its next an object")
+                    rewards.append(a["reward"])
+                    probabilities.extend(nxt.values())
+                    info[(t, s, x)] = a
+        bad = [r for r in rewards if not is_finite_number(r)]
+        if bad:
+            raise DdsError(f"reward {bad[0]!r} is not a finite number")
+        bad = [pr for pr in probabilities if not (is_finite_number(pr) and pr >= 0)]
+        if bad:
+            raise DdsError(f"probability {bad[0]!r} is not a finite number >= 0")
 
         def transition(t, s, x):
             nxt = info[(t, s, x)].get("next", {})
@@ -94,7 +124,7 @@ class DdsProblem:
             actions=lambda t, s: acts.get((t, s), []),
             reward=lambda t, s, x: float(info[(t, s, x)]["reward"]),
             transition=transition,
-            alpha=float(spec.get("alpha", 1.0)),
+            alpha=float(alpha),
         )
 
 
@@ -465,16 +495,6 @@ def gd1() -> DdsProblem:
 def gd1_noisy() -> DdsProblem:
     """GD-1 shape whose only first-stage action is stochastic; the exact
     first-stage value is 3, so estimation error is visible."""
-    tables = {
-        "stages": 2,
-        "alpha": 1.0,
-        "states": {"1": ["A"], "2": ["B", "C"]},
-        "actions": {
-            "1": {"A": [{"name": "a3", "reward": 0, "next": {"B": 0.5, "C": 0.5}}]},
-            "2": {
-                "B": [{"name": "b", "reward": 1}],
-                "C": [{"name": "c", "reward": 5}],
-            },
-        },
-    }
-    return DdsProblem.from_tables(tables)
+    a3 = {"name": "a3", "reward": 0, "next": {"B": 0.5, "C": 0.5}}
+    return DdsProblem.from_tables(
+        {**GD1_TABLES, "actions": {**GD1_TABLES["actions"], "1": {"A": [a3]}}})

@@ -9,14 +9,13 @@ referenced by name in fixtures and resolved against the registries below.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import replace
 from pathlib import Path
 
 from .cofo import CofoProblem, Hypothesis
 from .cogkit.chain import Rule, check_truth_values, deduction_rule, inversion_rule
 from .dds import DdsProblem
-from .metagraph import Atom, TypedMetagraph, decode_json
+from .metagraph import Atom, TypedMetagraph, decode_json, is_finite_number
 from .subpattern import SimplicityMeasure, disjoint_union
 
 
@@ -163,12 +162,10 @@ def load_points(path):
         raise FixtureError(f"{path}: field 'points' must be an object")
     points = {}
     for label, xy in raw.items():
-        # nan, inf and ints too large for a float fail the bound
-        if not (isinstance(xy, list) and len(xy) == 2 and all(
-                type(v) in (int, float) and abs(v) <= sys.float_info.max for v in xy)):
+        if not (isinstance(xy, list) and len(xy) == 2 and all(map(is_finite_number, xy))):
             raise FixtureError(f"{path}: points[{label!r}] must be an [x, y] pair of finite numbers")
         points[label] = (float(xy[0]), float(xy[1]))
-    if not isinstance(k, int) or k < 1:
+    if type(k) is not int or k < 1:
         raise FixtureError(f"{path}: field 'k' must be a positive integer")
     if k > len(points):
         raise FixtureError(f"{path}: field 'k' is {k}, more than the {len(points)} points")
@@ -205,7 +202,10 @@ SIGMA_MEASURES = {
 
 
 def load_subpattern(path):
-    """Subpattern fixture: items, operator names, and a simplicity measure."""
+    """Subpattern fixture: items, operator names, and a simplicity measure.
+    The items are all strings, all finite numbers or all lists of finite
+    numbers, so that every operator is defined on them or raises
+    ValueError; union-merge takes no numbers."""
     data = load_json(path)
     items = _require(data, "items", path)
     names = _require(data, "ops", path)
@@ -219,8 +219,16 @@ def load_subpattern(path):
     ops = {n: SUBPATTERN_OPS[n] for n in names}
     if not isinstance(sigma_name, str) or sigma_name not in SIGMA_MEASURES:
         raise FixtureError(f"{path}: unknown simplicity measure {sigma_name!r}")
-    if type(sigma_star) not in (int, float) or not abs(sigma_star) <= sys.float_info.max:
+    if not is_finite_number(sigma_star):
         raise FixtureError(f"{path}: field 'sigma_star' must be a finite number")
     sm = SIGMA_MEASURES[sigma_name](float(sigma_star))
+    kinds = {str if isinstance(v, str) else float if is_finite_number(v)
+             else list if isinstance(v, list) and all(map(is_finite_number, v)) else None
+             for v in items}
+    if len(kinds) != 1 or None in kinds:
+        raise FixtureError(f"{path}: field 'items' must hold strings, finite numbers or lists "
+                           "of finite numbers, all of one kind, and at least one")
+    if kinds == {float} and "union-merge" in ops:
+        raise FixtureError(f"{path}: operator 'union-merge' takes strings or lists, not numbers")
     items = [tuple(v) if isinstance(v, list) else v for v in items]
     return items, ops, sm

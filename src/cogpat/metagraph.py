@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional
 
@@ -168,10 +169,11 @@ def _entry_id(entry: "Atom | Mapping[str, Any]") -> int:
     return entry["id"]
 
 
-def _finite(x: Any) -> bool:
-    """A finite float or an int; JSON's true and false are not numbers here.
-    (A finite float less itself is 0.0; inf or nan less itself is nan.)"""
-    return type(x) is float and x - x == 0.0 or type(x) is int
+def is_finite_number(x: Any) -> bool:
+    """A finite float, or an int that a float can hold; JSON's true and
+    false are not numbers here.  (A finite float less itself is 0.0; inf or
+    nan less itself is nan.)"""
+    return type(x) is float and x - x == 0.0 or type(x) is int and abs(x) <= sys.float_info.max
 
 
 def _check_fields(a: Atom) -> Atom:
@@ -180,8 +182,8 @@ def _check_fields(a: Atom) -> Atom:
     targets)."""
     if type(a.type_label) is not str:
         raise MgIntegrityError(f"atom {a.id} type {a.type_label!r} is not a string")
-    if not (_finite(a.sti) and _finite(a.lti)):
-        name, value = ("lti", a.lti) if _finite(a.sti) else ("sti", a.sti)
+    if not (is_finite_number(a.sti) and is_finite_number(a.lti)):
+        name, value = ("lti", a.lti) if is_finite_number(a.sti) else ("sti", a.sti)
         raise MgIntegrityError(f"atom {a.id} {name} {value!r} is not a finite number")
     if a.tv is not None and type(a.tv) is not TruthValue:
         raise MgIntegrityError(f"atom {a.id} tv {a.tv!r} is not a TruthValue")
@@ -220,7 +222,7 @@ def decode_json(text: str) -> Any:
         else:
             return obj
         sti, lti = obj.get("sti", 0.0), obj.get("lti", 0.0)
-        if not (_finite(sti) and _finite(lti)):
+        if not (is_finite_number(sti) and is_finite_number(lti)):
             return obj
         tv = None
         if "tv" in obj:
@@ -229,7 +231,8 @@ def decode_json(text: str) -> Any:
             if type(tv) is not dict or len(tv) != 2:
                 return obj
             s, c = tv.get("s"), tv.get("c")
-            if not (_finite(s) and _finite(c) and 0.0 <= s <= 1.0 and 0.0 <= c < 1.0):
+            if not (is_finite_number(s) and is_finite_number(c)
+                    and 0.0 <= s <= 1.0 and 0.0 <= c < 1.0):
                 return obj
             tv = _tuple_new(TruthValue, (s, c))
         a = _tuple_new(Atom, (i, kind, label, targets, tv, sti, lti))

@@ -360,6 +360,145 @@ class TestExitCodes:
         assert run("subpattern", "audit", "--fixture",
                    FIXTURES / "subpattern_union.json", "--out", tmp_path) == 0
 
+    @pytest.mark.parametrize("command, fixture, edit, message", [
+        *((["dds", "solve", "--fixture"], "gd1.json", edit, message) for edit, message in [
+            (lambda d: d.update(stages=-1), "stages must be an integer from 1 to 2, the number of "
+             "stages that declare states, got -1"),
+            (lambda d: d.update(stages=0), "got 0"),
+            (lambda d: d.update(stages=10**400), "stages must be an integer from 1 to 2"),
+            (lambda d: d.update(states={}), "stages must be an integer from 1 to 0"),
+            (lambda d: d["states"].update({"1": []}), "stage 1 declares no state"),
+            (lambda d: d["states"].update({"2": ["B", 5]}), "stage 2 states must be a list of names"),
+            (lambda d: d["actions"]["1"]["A"][0].update(name=None),
+             "action None at stage 1, state 'A': its name must be a string"),
+            (lambda d: d["actions"]["1"]["A"][0].update(reward="x"), "reward 'x' is not a finite number"),
+            (lambda d: d["actions"]["1"]["A"][0].update(next=None), "its next an object"),
+            (lambda d: d["actions"]["1"]["A"][0].update(next={"B": "x"}),
+             "probability 'x' is not a finite number >= 0"),
+            (lambda d: d["actions"]["1"]["A"][0].update(next={"B": 2.0, "C": -1.0}),
+             "probability -1.0 is not a finite number >= 0"),
+            (lambda d: d.update(alpha=None), "alpha must be a finite number, got None"),
+        ]),
+        # a nan reward: dp used to report "no action recorded", greedy a nan total
+        *((["dds", *command, "--fixture"], "gd1.json",
+           lambda d: d["actions"]["2"]["C"][0].update(reward=float("nan")),
+           "reward nan is not a finite number")
+          for command in (["solve", "--executor", "dp"], ["solve", "--executor", "greedy"],
+                          ["compare"])),
+        (["cofo", "run", "--fixture"], "cofo_two_hypotheses.json",
+         lambda d: d["objective"][0].__setitem__(1, None),
+         "objective value at domain point 1 is not a finite number"),
+        (["cofo", "run", "--fixture"], "cofo_two_hypotheses.json",
+         lambda d: d["hypotheses"][0]["table"][1].__setitem__(1, []),
+         "hypothesis 'identity' value at domain point 2 is not a finite number"),
+        *((["subpattern", command, "--fixture"], fixture, edit,
+           "field 'items' must hold strings, finite numbers or lists of finite numbers")
+          for command in ("audit", "dag") for fixture, edit in [
+              ("subpattern_doubling.json", lambda d: d.update(items=[])),
+              ("subpattern_doubling.json", lambda d: d["items"].__setitem__(0, None)),
+              ("subpattern_maxmin.json", lambda d: d.update(items=[0, "a"], ops=["concat"])),
+              ("subpattern_union.json", lambda d: d["items"].__setitem__(0, [[0]])),
+          ]),
+        (["subpattern", "dag", "--fixture"], "subpattern_maxmin.json", lambda d: None,
+         "simplicity measures take strings or lists, not numbers"),
+        (["subpattern", "audit", "--fixture"], "subpattern_maxmin.json",
+         lambda d: d.update(ops=["union-merge"]),
+         "operator 'union-merge' takes strings or lists, not numbers"),
+        *((["cog", "chain", "--executor", executor, "--fixture"], "kb_two_hop.json",
+           lambda d: d.update(atoms=[]), "kb_two_hop.json: kb holds no statements")
+          for executor in ("greedy", "dp")),
+        (["cog", "cluster", "--fixture"], "points_two_pairs.json", lambda d: d.update(k=True),
+         "field 'k' must be a positive integer"),
+        (["cog", "cluster", "--fixture"], "points_two_pairs.json",
+         lambda d: d["points"].update(p0=[1e308, 0.0]), "point distance out of range"),
+        (["cog", "ecan", "--fixture"], "kb_social.json",
+         lambda d: d["atoms"][0].update(sti=10**400), "atom 0 sti 1000"),
+    ])
+    def test_malformed_input_fails_closed(self, tmp_path, command, fixture, edit, message,
+                                          capsys):
+        data = json.loads((FIXTURES / fixture).read_text())
+        edit(data)
+        path = tmp_path / fixture
+        path.write_text(json.dumps(data))
+        assert run(*command, path, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "out").exists()
+
+    def test_ecan_on_empty_kb_skips_every_step(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"atoms": []}))
+        assert run("cog", "ecan", "--fixture", path, "--budget", 3, "--out", tmp_path) == 0
+        data = json.loads((tmp_path / "ecan.json").read_text())
+        assert data == {"sti": {}, "transfers": 0, "skipped": [0, 1, 2]}
+
+
+# every command form that reads a fixture: the fixture it reads, and its
+# argv up to the flag that takes the fixture's path
+READING_FORMS = [
+    *(("gd1.json", ["dds", "solve", "--executor", e, "--fixture"])
+      for e in ("dp", "sdp", "chrono", "greedy")),
+    ("gd1.json", ["dds", "compare", "--fixture"]),
+    *(("cofo_two_hypotheses.json", ["cofo", "run", "--executor", e, "--fixture"])
+      for e in ("dp", "sdp", "chrono", "greedy")),
+    *(("kb_two_hop.json", ["cog", "chain", "--rules", FIXTURES / "rules.json",
+                           "--executor", e, "--fixture"]) for e in ("greedy", "dp")),
+    ("kb_two_hop.json", ["cog", "backchain", "--target", "A,C", "--fixture"]),
+    ("rules.json", ["cog", "chain", "--fixture", FIXTURES / "kb_two_hop.json", "--rules"]),
+    *(("points_two_pairs.json", ["cog", "cluster", "--executor", e, "--fixture"])
+      for e in ("greedy", "dp")),
+    ("kb_social.json", ["cog", "mine", "--budget", 2, "--fixture"]),
+    ("kb_social.json", ["cog", "ecan", "--budget", 20, "--fixture"]),
+    *((fixture, ["subpattern", command, "--fixture"]) for command in ("audit", "dag")
+      for fixture in ("subpattern_doubling.json", "subpattern_maxmin.json",
+                      "subpattern_union.json")),
+]
+SINGLE_VALUES = [None, True, -1, 0, 2, 1.5, "x", [], {}, float("nan"), [1, 2]]
+
+
+def single_value_mutations(data):
+    """(where, value, copy of `data`) for every value in `data`, at any
+    depth, replaced by each of `SINGLE_VALUES`."""
+    stack = [()]
+    while stack:
+        where = stack.pop()
+        node = data
+        for key in where:
+            node = node[key]
+        if isinstance(node, (dict, list)):
+            stack.extend(where + (k,) for k in (node if isinstance(node, dict)
+                                                 else range(len(node))))
+        if not where:
+            continue
+        for value in SINGLE_VALUES:
+            mutated = json.loads(json.dumps(data))
+            holder = mutated
+            for key in where[:-1]:
+                holder = holder[key]
+            holder[where[-1]] = value
+            yield where, value, mutated
+
+
+class TestSingleValueMutations:
+    @pytest.mark.parametrize("fixture, argv", READING_FORMS, ids=[
+        " ".join(str(a) for a in argv[:-1] if not isinstance(a, Path)) + f" {argv[-1]} {fixture}"
+        for fixture, argv in READING_FORMS])
+    def test_exit_code_without_traceback(self, tmp_path, fixture, argv):
+        """A shipped fixture with any one value replaced makes the command
+        exit 0, 1 or 2, never raise."""
+        path = tmp_path / fixture
+        crashes = []
+        for where, value, mutated in single_value_mutations(
+                json.loads((FIXTURES / fixture).read_text())):
+            path.write_text(json.dumps(mutated))
+            try:
+                code = run(*argv, path, "--out", tmp_path / "out")
+            except Exception as exc:
+                crashes.append(f"{list(where)} = {value!r}: {exc!r}")
+            else:
+                assert code in (0, 1, 2), (where, value)
+        assert crashes == []
+
 
 class TestDdsCommands:
     def test_compare_rows(self, tmp_path):

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -36,7 +37,8 @@ from cogpat.cogkit import (
     uniform_crossover,
 )
 from cogpat.cogkit import chain as chain_module, mine
-from cogpat.cogkit.chain import PASS, BidNode, KbModel, StepSet, _apply, _candidates
+from cogpat.cogkit.chain import PASS, BidNode, KbModel, StepSet, _apply, _replay
+from cogpat.dds import plan
 from cogpat.cogkit.pln import _digamma
 
 
@@ -244,6 +246,37 @@ OVERWRITE_KB = implication_kb(
 )
 
 
+def _rebuild_per_state_dds(model, rules, steps):
+    """Reference dp executor: every state's steps are the live part of a
+    from-scratch `StepSet` over the start model with the state's
+    conclusions applied."""
+    def actions(t, state):
+        m = model
+        for conclusion, tv in state:
+            m = _apply(m, conclusion, tv)
+        fresh = StepSet(m, rules).steps
+        return [(*key, *fresh[key]) for key in sorted(fresh) if fresh[key][1] > 0.0] or [PASS]
+
+    def successor(state, action):
+        _, _, conclusion, tv, _ = action
+        if conclusion is None:
+            return state
+        return tuple(sorted(set(state) | {(conclusion, tv)}))
+
+    taken, _ = plan((), steps, actions, successor, lambda t, s, x: x[4],
+                    action_key=lambda x: repr((x[1], x[2])))
+    return _replay(model, taken)
+
+
+def _result_bits(res) -> list:
+    """A ChainResult with every float as its hex, dict orders kept."""
+    tv_bits = lambda tv: (tv.s.hex(), tv.c.hex())
+    return [[(k, tv_bits(tv)) for k, tv in res.statements.items()],
+            [(p, r, c, w.hex()) for p, r, c, w in res.trace], res.stalled,
+            [(k, tv_bits(tv)) for k, tv in res.model.stmts.items()],
+            [(k, v.hex()) for k, v in res.model.priors.items()]]
+
+
 class TestStepSet:
     RULES = [deduction_rule(), inversion_rule()]
 
@@ -253,13 +286,13 @@ class TestStepSet:
     def test_kept_set_equals_rebuild(self, kb, steps):
         """At every greedy step the delta-kept set is a from-scratch build
         over the same model, zero rewards included, bit for bit; its live
-        part is `_candidates`, and the step taken is the first of their
+        part is the fresh build's, and the step taken is the first of their
         highest rewards."""
         model = KbModel.from_view(kb)
         kept = StepSet(model, self.RULES)
         for _ in range(steps):
             assert _bits(kept.steps) == _bits(StepSet(model, self.RULES).steps)
-            rebuilt = _candidates(model, self.RULES)
+            rebuilt = StepSet(model, self.RULES).live()
             assert [(*key, *kept.steps[key]) for key in sorted(kept.steps)
                     if kept.steps[key][1] > 0.0] == rebuilt
             step = kept.best()
@@ -268,6 +301,24 @@ class TestStepSet:
                 break
             kept.apply(step[2], step[3])
             model = _apply(model, step[2], step[3])
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_kbs(), st.integers(1, 3))
+    @example(OVERWRITE_KB, 3)
+    def test_dp_matches_rebuild_per_state(self, kb, steps):
+        """The dp executor, which copies the start's step set and applies a
+        state's conclusions to it, returns the result of one that builds
+        each state's step set from scratch, bit for bit, or raises the same
+        TypeError."""
+        model = KbModel.from_view(kb)
+        try:
+            want = _rebuild_per_state_dds(model, self.RULES, steps)
+        except TypeError as exc:
+            with pytest.raises(TypeError, match=re.escape(str(exc))):
+                forward_chain(kb, self.RULES, steps, executor="dp")
+            return
+        got = forward_chain(kb, self.RULES, steps, executor="dp")
+        assert _result_bits(got) == _result_bits(want)
 
     def test_overwrite_example_overwrites(self):
         model = KbModel.from_view(OVERWRITE_KB)
