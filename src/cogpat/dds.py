@@ -2,14 +2,19 @@
 
 A problem is staged: states per stage, feasible actions per (stage,
 state), immediate reward, and a transition distribution (deterministic
-transitions are point masses).  Solvers: greedy rollout, and one Bellman
-step run three ways: exact backward induction and sampled stochastic
-backward induction (one stage loop, two continuation estimators), and a
-memoized unfold/collapse over the subproblem dag (`morphisms.memo_recurse`).
+transitions are point masses).  `from_tables` checks every transition of a
+tabulated problem once, at load.  One exact solver, `_solve`, unfolds the
+subproblem dag from the declared states and collapses it by the Bellman
+step in one `morphisms.memo_recurse` walk; `exact_dp`, `chrono_solve` and
+`stochastic_dp` run it with an exact or a sampled continuation.
 A cognitive algorithm declares its process once (start, actions, successor,
 reward), and two executors run that one declaration over the reachable
 states (`reachable_problem`, whose layers are built on first use): `plan`
 solves it exactly and replays the argmax, `greedy` follows immediate reward.
+`plan` keeps the breadth-first layers, and the cofo adapter its action
+cache, rather than walking from the start: such a walk expands whole
+depth-first branches of dp chaining's states before it reaches that
+executor's known crash (ROADMAP D13).
 """
 
 from __future__ import annotations
@@ -20,8 +25,9 @@ import io
 import math
 import random
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Collection, Mapping, Sequence
 
 from .metagraph import is_finite_number
 from .morphisms import memo_recurse
@@ -56,17 +62,10 @@ class DdsProblem:
     states: Callable[[int], Sequence]
     actions: Callable[[int, Any], Sequence]
     reward: Callable[[int, Any, Any], float]
-    transition: Callable[[int, Any, Any], Sequence[tuple[Any, float]]]
+    transition: Callable[[int, Any, Any], Collection[tuple[Any, float]]]
     alpha: float = 1.0
     state_key: Callable[[Any], Any] = lambda s: s
     action_key: Callable[[Any], Any] = lambda a: a
-
-    def checked_transition(self, t, s, x):
-        dist = list(self.transition(t, s, x))
-        total = sum(p for _, p in dist)
-        if abs(total - 1.0) > _PROB_TOL:
-            raise TransitionError(f"probabilities sum to {total} at t={t}")
-        return dist
 
     def sorted_actions(self, t, s):
         return sorted(self.actions(t, s), key=self.action_key)
@@ -76,9 +75,12 @@ class DdsProblem:
         """Build a problem from the tabulated JSON fixture layout.  Raises
         DdsError unless stages is an integer from 1 to the number of stages
         that declare states (so no solver loops past the table), stage 1
-        declares a state, state and action names are strings, rewards and
-        alpha are finite numbers, and each `next` maps names to finite
-        numbers >= 0."""
+        declares a state, state and action names are strings, no stage lists
+        a state twice and no state an action name twice, rewards and alpha
+        are finite numbers, and each `next` maps names to finite numbers
+        >= 0.  Before the last stage each `next` must sum to 1 (else
+        TransitionError) over states the next stage declares, so the
+        solvers take every transition as given."""
         n = spec["stages"]
         states = {int(t): v for t, v in spec["states"].items()}
         if type(n) is not int or not 1 <= n <= len(states):
@@ -87,43 +89,61 @@ class DdsProblem:
         for t, names in states.items():
             if type(names) is not list or not all(type(s) is str for s in names):
                 raise DdsError(f"stage {t} states must be a list of names, got {names!r}")
+            if len(set(names)) < len(names):
+                twice = next(s for s in names if names.count(s) > 1)
+                raise DdsError(f"stage {t} lists state {twice!r} twice")
         if not states.get(1):
             raise DdsError("stage 1 declares no state")
         alpha = spec.get("alpha", 1.0)
         if not is_finite_number(alpha):
             raise DdsError(f"alpha must be a finite number, got {alpha!r}")
         acts: dict[tuple[int, Any], list] = {}
-        info: dict[tuple[int, Any, Any], dict] = {}
-        rewards, probabilities = [], []
+        info: dict[tuple[int, Any], dict] = {}  # (stage, state) -> action name -> action
+        nexts: dict[int, list] = {}  # stage -> the `next` of each of its actions
+        rewards = []
         for t_str, per_state in spec["actions"].items():
             t = int(t_str)
+            stage_nexts = nexts.setdefault(t, [])
             for s, actions in per_state.items():
-                acts[(t, s)] = [a["name"] for a in actions]
+                names = acts[(t, s)] = []
                 for a in actions:
                     x, nxt = a["name"], a.get("next", {})
                     if type(x) is not str or type(nxt) is not dict:
                         raise DdsError(f"action {x!r} at stage {t}, state {s!r}: its name "
                                        "must be a string and its next an object")
+                    names.append(x)
                     rewards.append(a["reward"])
-                    probabilities.extend(nxt.values())
-                    info[(t, s, x)] = a
+                    stage_nexts.append(nxt)
+                info[(t, s)] = by_name = dict(zip(names, actions))
+                if len(by_name) < len(names):
+                    twice = next(x for x in names if names.count(x) > 1)
+                    raise DdsError(f"stage {t}, state {s!r} lists action {twice!r} twice")
         bad = [r for r in rewards if not is_finite_number(r)]
         if bad:
             raise DdsError(f"reward {bad[0]!r} is not a finite number")
-        bad = [pr for pr in probabilities if not (is_finite_number(pr) and pr >= 0)]
+        bad = [pr for stage_nexts in nexts.values() for nxt in stage_nexts for pr in nxt.values()
+               if not (is_finite_number(pr) and pr >= 0)]
         if bad:
             raise DdsError(f"probability {bad[0]!r} is not a finite number >= 0")
-
-        def transition(t, s, x):
-            nxt = info[(t, s, x)].get("next", {})
-            return list(nxt.items())
+        for t, stage_nexts in nexts.items():
+            if t >= n or not stage_nexts:
+                continue
+            totals = list(map(sum, map(dict.values, stage_nexts)))
+            if max(totals) - 1.0 > _PROB_TOL or 1.0 - min(totals) > _PROB_TOL:
+                total = next(x for x in totals if abs(x - 1.0) > _PROB_TOL)
+                raise TransitionError(f"probabilities sum to {total} at t={t}")
+            declared = set(states.get(t + 1, ()))
+            if not declared.issuperset(chain.from_iterable(stage_nexts)):
+                s2 = next(s2 for nxt in stage_nexts for s2 in nxt if s2 not in declared)
+                raise DdsError(f"a transition at stage {t} names {s2!r}, "
+                               f"which is not a stage {t + 1} state")
 
         return DdsProblem(
             n=n,
             states=lambda t: states.get(t, []),
             actions=lambda t, s: acts.get((t, s), []),
-            reward=lambda t, s, x: float(info[(t, s, x)]["reward"]),
-            transition=transition,
+            reward=lambda t, s, x: float(info[(t, s)][x]["reward"]),
+            transition=lambda t, s, x: info[(t, s)][x].get("next", {}).items(),
             alpha=float(alpha),
         )
 
@@ -171,102 +191,105 @@ class Trajectory:
 # Solvers
 
 
-def _cell_budget_check(p: DdsProblem, budget_cells: int) -> None:
-    cells = 0
-    for t in range(1, p.n + 1):
-        for s in p.states(t):
-            cells += max(1, len(p.actions(t, s)))
-            if cells > budget_cells:
-                raise SizeError(f"cell budget {budget_cells} exceeded at stage {t}")
-
-
-def _bellman(p, t, s, cont: Callable[[list], float]) -> Cell:
-    """The Bellman step at (t, s): reward plus discounted continuation,
-    maximized over the feasible actions in key order.  `cont(dist)` values
-    an action's successor distribution."""
-    acts = p.sorted_actions(t, s)
-    if not acts:
-        return Cell(NEG_INF, ())
-    vals = []
-    for x in acts:
-        v = p.reward(t, s, x)
-        if t < p.n:
-            v += p.alpha * cont(p.checked_transition(t, s, x))
-        vals.append((v, x))
-    best = max(v for v, _ in vals)
-    # the equality arm keeps -inf ties (their difference is nan, not 0)
-    argmax = tuple(x for v, x in vals if v == best or abs(v - best) <= 1e-12)
-    return Cell(best, argmax)
-
-
-def _expectation(dist, value: Callable[[Any], float]) -> float:
+def _expectation(dist, succ) -> float:
+    """The exact continuation: each successor's value times its probability,
+    summed in transition order."""
     cont = 0.0
-    for s2, pr in dist:
-        cont += pr * value(s2)
+    for (_, pr), cell in zip(dist, succ):
+        cont += pr * cell.value
     return cont
 
 
-def _unknown_successor(t, s2) -> DdsError:
-    return DdsError(f"a transition at stage {t} names {s2!r}, which is not a stage {t + 1} state")
+def _solve(p: DdsProblem, budget_cells: int, estimate) -> ValueFunction:
+    """The Bellman recursion as one `memo_recurse` walk over (stage, state
+    key, state) nodes.  A virtual root lists every declared state, stages
+    descending and states in layer order, so a stage's successors are memo
+    hits when it is solved and cells are solved (and sdp draws made) in
+    the order of a stage loop.  A node asks for its sorted actions and
+    their transitions once, on entry, and counts its cells then (SizeError
+    at the frame that passes `budget_cells`).  `estimate(dist, succ)` takes
+    len(dist) solved cells, in `dist` order, from the iterator `succ`."""
+    n, alpha, key_of = p.n, p.alpha, p.state_key
+    roots = ((t, key_of(s), s) for t in range(n, 0, -1) for s in p.states(t))
+    entered = []  # (actions, transitions) of each open frame, innermost last
+    cells = 0
+
+    def children_of(node):
+        nonlocal cells
+        t, _, s = node
+        if t == 0:
+            return roots
+        acts = p.sorted_actions(t, s)
+        cells += len(acts) or 1
+        if cells > budget_cells:
+            raise SizeError(f"cell budget {budget_cells} exceeded at stage {t}")
+        dists = [p.transition(t, s, x) for x in acts] if t < n else ()
+        entered.append((acts, dists))
+        return [(t + 1, key_of(s2), s2) for dist in dists for s2, _ in dist]
+
+    def compute(node, succ):
+        t, _, s = node
+        if t == 0:
+            return None
+        acts, dists = entered.pop()
+        if not acts:
+            return Cell(NEG_INF, ())
+        if dists:
+            succ = iter(succ)
+            vals = [p.reward(t, s, x) + alpha * estimate(dist, succ)
+                    for x, dist in zip(acts, dists)]
+        else:
+            vals = [p.reward(t, s, x) for x in acts]
+        best = max(vals)
+        # the equality arm keeps -inf ties (their difference is nan, not 0)
+        return Cell(best, tuple([x for v, x in zip(vals, acts)
+                                 if v == best or abs(v - best) <= 1e-12]))
+
+    _, memo, hits = memo_recurse((0, None, None), children_of, compute, key=itemgetter(0, 1))
+    del memo[(0, None)]
+    vf = ValueFunction()
+    vf.table, vf.memo_hits = memo, hits
+    return vf
 
 
-def _check_declared(p: DdsProblem, t, s) -> None:
-    """Raise `_unknown_successor` if a rollout reached s at stage t > 1 but
-    stage t does not declare it.  Rollouts call it only once stuck, so a
-    successful one never enumerates a stage."""
-    if t > 1 and p.state_key(s) not in {p.state_key(s2) for s2 in p.states(t)}:
-        raise _unknown_successor(t - 1, s)
+def exact_dp(p: DdsProblem, budget_cells: int = 10**6) -> ValueFunction:
+    """Exact backward induction: the `_solve` walk with the expectation."""
+    return _solve(p, budget_cells, _expectation)
+
+
+def chrono_solve(p: DdsProblem, budget_cells: int = 10**6) -> ValueFunction:
+    """The `exact_dp` walk under the name of the CLI's `chrono` executor:
+    the subproblem dag unfolded from the declared states and collapsed
+    post-order.  `memo_hits` counts every successor lookup."""
+    return _solve(p, budget_cells, _expectation)
+
+
+def stochastic_dp(p: DdsProblem, rollouts: int, seed: int, budget_cells: int = 10**6) -> ValueFunction:
+    """Monte-Carlo backward induction, the `_solve` walk with a sampled
+    continuation: a point mass continues with its successor's value, any
+    other distribution with the mean of `rollouts` draws from its
+    successors' values by weight, in the walk's stage-loop order."""
+    if rollouts < 1:
+        raise DdsError("rollouts must be >= 1")
+    rng = random.Random(seed)
+
+    def sampled(dist, succ):
+        values = [cell.value for _, cell in zip(dist, succ)]
+        if len(values) == 1:
+            return values[0]  # point mass
+        # choices picks by index from the weights alone, so drawing values
+        # draws what drawing successors did, one value read per successor
+        draws = rng.choices(values, weights=[pr for _, pr in dist], k=rollouts)
+        return sum(draws) / rollouts
+
+    return _solve(p, budget_cells, sampled)
 
 
 def _draw_successor(p: DdsProblem, t, s, x, rng: random.Random):
     """The successor of (t, s) under x: a point mass's only state, else one
     `rng.choices` draw by transition probability."""
-    succ, probs = zip(*p.checked_transition(t, s, x))
+    succ, probs = zip(*p.transition(t, s, x))
     return succ[0] if len(succ) == 1 else rng.choices(succ, weights=probs, k=1)[0]
-
-
-def _backward_induction(p: DdsProblem, budget_cells: int, estimate) -> ValueFunction:
-    """Stages descending, states in layer order, one Bellman cell each.
-    `estimate(dist, value)` is the continuation estimator, where `value(s2)`
-    reads the solved next-stage value of s2."""
-    _cell_budget_check(p, budget_cells)
-    vf = ValueFunction()
-    table = vf.table
-    for t in range(p.n, 0, -1):
-        def value(s2):
-            try:
-                return table[(t + 1, p.state_key(s2))].value
-            except KeyError:
-                raise _unknown_successor(t, s2) from None
-        cont = lambda dist: estimate(dist, value)
-        for s in p.states(t):
-            table[(t, p.state_key(s))] = _bellman(p, t, s, cont)
-    return vf
-
-
-def exact_dp(p: DdsProblem, budget_cells: int = 10**6) -> ValueFunction:
-    """Backward induction over the full stage/state tables."""
-    return _backward_induction(p, budget_cells, _expectation)
-
-
-def stochastic_dp(p: DdsProblem, rollouts: int, seed: int, budget_cells: int = 10**6) -> ValueFunction:
-    """Monte-Carlo backward induction, full action sweep per cell: a point
-    mass continues with its successor's value, any other distribution with
-    the mean of `rollouts` draws from its successors' values by weight."""
-    if rollouts < 1:
-        raise DdsError("rollouts must be >= 1")
-    rng = random.Random(seed)
-
-    def sampled(dist, value):
-        succ, probs = zip(*dist)
-        if len(succ) == 1:
-            return value(succ[0])  # point mass
-        # choices picks by index from the weights alone, so drawing values
-        # draws what drawing successors did, one value read per successor
-        draws = rng.choices([value(s2) for s2 in succ], weights=probs, k=rollouts)
-        return sum(draws) / rollouts
-
-    return _backward_induction(p, budget_cells, sampled)
 
 
 def greedy_run(p: DdsProblem, s0, seed: int = 0) -> Trajectory:
@@ -278,7 +301,6 @@ def greedy_run(p: DdsProblem, s0, seed: int = 0) -> Trajectory:
     for t in range(1, p.n + 1):
         acts = p.sorted_actions(t, s)
         if not acts:
-            _check_declared(p, t, s)
             raise DeadEndError(f"no feasible action at stage {t}, state {s!r}")
         rewards = [p.reward(t, s, x) for x in acts]
         i = rewards.index(max(rewards))
@@ -303,7 +325,6 @@ def evaluate_policy(p: DdsProblem, policy: Mapping, episodes: int, seed: int = 0
         for t in range(1, p.n + 1):
             key = (t, p.state_key(s))
             if key not in policy:
-                _check_declared(p, t, s)
                 raise PolicyGapError(f"policy undefined at {key!r}")
             x = policy[key]
             total += p.alpha ** (t - 1) * p.reward(t, s, x)
@@ -321,42 +342,6 @@ def evaluate_policy(p: DdsProblem, policy: Mapping, episodes: int, seed: int = 0
 
 def policy_from(vf: ValueFunction) -> dict:
     return {key: cell.argmax[0] for key, cell in vf.table.items() if cell.argmax}
-
-
-def chrono_solve(p: DdsProblem, budget_cells: int = 10**6) -> ValueFunction:
-    """Unfold the (stage, state) subproblem dag from a virtual root over
-    every stage's states, collapse it post-order with `memo_recurse` on the
-    Bellman step.  Matches exact_dp entrywise."""
-    _cell_budget_check(p, budget_cells)
-    # nodes are (t, state key, state); the virtual root is stage 0
-    roots = [(t, p.state_key(s), s) for t in range(1, p.n + 1) for s in p.states(t)]
-
-    def children_of(node):
-        t, _, s = node
-        if t == 0:
-            return roots
-        if t >= p.n:
-            return []
-        return [(t + 1, p.state_key(s2), s2)
-                for x in p.sorted_actions(t, s) for s2, _ in p.transition(t, s, x)]
-
-    def compute(node, cells):
-        t, _, s = node
-        if t == 0:
-            return None
-        # cells arrive in children order, which is the order the step reads them
-        nxt = iter(cells).__next__
-        pull = lambda _s2: nxt().value
-        return _bellman(p, t, s, lambda dist: _expectation(dist, pull))
-
-    _, memo, hits = memo_recurse((0, None, None), children_of, compute, key=itemgetter(0, 1))
-    vf = ValueFunction()
-    vf.table = {node[:2]: memo[node[:2]] for node in roots}
-    if len(memo) > len(vf.table) + 1:  # a successor outside the stage tables was solved
-        t, key = min(memo.keys() - vf.table.keys() - {(0, None)}, key=repr)
-        raise _unknown_successor(t - 1, key)
-    vf.memo_hits = hits
-    return vf
 
 
 def reachable_problem(start, horizon: int, actions, successor, reward,

@@ -306,6 +306,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize("command", [
+        ["solve", "--executor", "dp"], ["solve", "--executor", "sdp"],
+        ["solve", "--executor", "chrono"], ["solve", "--executor", "greedy"], ["compare"],
+    ])
+    @pytest.mark.parametrize("edit, message", [
+        # a second a1 used to replace the first and show up twice in the argmax
+        (lambda d: d["actions"]["1"]["A"].append({"name": "a1", "reward": 9, "next": {"C": 1.0}}),
+         "stage 1, state 'A' lists action 'a1' twice"),
+        (lambda d: d["states"]["2"].append("B"), "stage 2 lists state 'B' twice"),
+    ])
+    def test_repeated_dds_name(self, tmp_path, command, edit, message, capsys):
+        data = json.loads((FIXTURES / "gd1.json").read_text())
+        edit(data)
+        path = tmp_path / "dds.json"
+        path.write_text(json.dumps(data))
+        assert run("dds", *command, "--fixture", path, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"malformed decision tables ({message})" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("suite", ["verify-greedy", "verify-dp"])
     @pytest.mark.parametrize("n", [0, -3])
     def test_empty_verify_suite(self, tmp_path, suite, n, capsys):

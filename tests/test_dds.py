@@ -1,19 +1,26 @@
+import collections
 import gc
+import importlib
 import itertools
 import json
 import random
 import statistics
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cogpat.dds import (
     GD1_TABLES,
+    NEG_INF,
+    Cell,
     DdsError,
     DeadEndError,
     DdsProblem,
     PolicyGapError,
     SizeError,
+    ValueFunction,
     chrono_solve,
     evaluate_policy,
     exact_dp,
@@ -28,8 +35,11 @@ from cogpat.dds import (
     single_peak_audit,
     stochastic_dp,
 )
-from cogpat.dds import _backward_induction
+from cogpat.cogkit import chain
+from cogpat.fixtures import load_rules
 from cogpat.metagraph import TypedMetagraph
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +73,67 @@ def expected_total(p, policy, t, s):
 
 def oracle_optimum(p, s0):
     return max(expected_total(p, pol, 1, s0) for pol in enumerate_policies(p))
+
+
+# ---------------------------------------------------------------------------
+# Reference: the stage loop the solvers must agree with byte for byte
+
+
+def stage_loop(p, estimate):
+    """Stages descending, states in layer order, actions in key order, one
+    Bellman cell each.  `estimate(dist, value)` is the continuation, where
+    `value(s2)` reads the solved next-stage value of s2."""
+    vf = ValueFunction()
+    for t in range(p.n, 0, -1):
+        def value(s2, t=t):
+            return vf.table[(t + 1, p.state_key(s2))].value
+        for s in p.states(t):
+            vals = []
+            for x in p.sorted_actions(t, s):
+                v = p.reward(t, s, x)
+                if t < p.n:
+                    v += p.alpha * estimate(list(p.transition(t, s, x)), value)
+                vals.append((v, x))
+            best = max((v for v, _ in vals), default=NEG_INF)
+            argmax = tuple(x for v, x in vals if v == best or abs(v - best) <= 1e-12)
+            vf.table[(t, p.state_key(s))] = Cell(best, argmax)
+    return vf
+
+
+def expectation(dist, value):
+    cont = 0.0
+    for s2, pr in dist:
+        cont += pr * value(s2)
+    return cont
+
+
+def value_sampler(rollouts, seed):
+    """The sampled continuation: a point mass reads its successor's value,
+    any other distribution averages `rollouts` draws of successor values."""
+    rng = random.Random(seed)
+
+    def sampled(dist, value):
+        succ, probs = zip(*dist)
+        if len(succ) == 1:
+            return value(succ[0])
+        draws = rng.choices([value(s2) for s2 in succ], weights=probs, k=rollouts)
+        return sum(draws) / rollouts
+
+    return sampled
+
+
+class TestStageLoopReference:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10**6), st.booleans(), st.integers(1, 50), st.integers(0, 10**6))
+    def test_every_solver_gives_the_stage_loop_bytes(self, problem_seed, stochastic, rollouts,
+                                                     seed):
+        # pins the walk's stage-descending order, on which the sdp draws depend
+        p = random_problem(problem_seed, stochastic=stochastic)
+        exact = stage_loop(p, expectation).to_csv()
+        assert exact_dp(p).to_csv() == exact
+        assert chrono_solve(p).to_csv() == exact
+        assert (stochastic_dp(p, rollouts, seed).to_csv()
+                == stage_loop(p, value_sampler(rollouts, seed)).to_csv())
 
 
 class TestGreedyRun:
@@ -200,7 +271,7 @@ class TestStochasticDp:
             draws = rng.choices(succ, weights=probs, k=rollouts)
             return sum(value(d) for d in draws) / rollouts
 
-        oracle = _backward_induction(p, 10**6, draw_successors)
+        oracle = stage_loop(p, draw_successors)
         assert stochastic_dp(p, rollouts, seed).table == oracle.table
 
 
@@ -371,6 +442,38 @@ class TestReachablePlanner:
         assert p.states(3) == [3, 4, 5, 6]
         # the first states call builds every layer, stages 1 to 3 expanded
         assert asked[4:] == [(1, 0), (2, 1), (2, 2), (3, 3), (3, 4), (3, 5), (3, 6)]
+
+    def test_plan_asks_each_state_for_its_actions_at_most_twice(self):
+        # once to build the next layer (stages before the last), once in the walk
+        asked = collections.Counter()
+
+        def actions(t, s):
+            asked[(t, s)] += 1
+            return [1, 2]
+
+        plan(0, 4, actions, lambda s, x: 2 * s + x, lambda t, s, x: float(x))
+        assert asked == {(t, s): 1 + (t < 4)
+                         for t in range(1, 5) for s in range(2 ** (t - 1) - 1, 2 ** t - 1)}
+
+    def test_dp_chaining_asks_each_state_at_most_twice(self, monkeypatch):
+        # a dense generated kb: 140 states at budget 2, each stage-2 state asked once
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        gen = importlib.import_module("gen")
+        kb = TypedMetagraph.from_dict(gen.implication_kb(random.Random(2), 10, 35))
+        asked = collections.Counter()
+
+        def counted_plan(start, horizon, actions, *rest, **kw):
+            def counted(t, s):
+                asked[(t, s)] += 1
+                return actions(t, s)
+            return plan(start, horizon, counted, *rest, **kw)
+
+        monkeypatch.setattr(chain, "plan", counted_plan)
+        rules = load_rules(Path(__file__).resolve().parent.parent / "fixtures" / "rules.json")
+        chain.forward_chain(kb, rules, 2, executor="dp")
+        assert len(asked) == 140
+        assert sum(asked.values()) == 141
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
