@@ -61,11 +61,19 @@ class CheckFailure(Exception):
 
 
 def _write_text(args, name: str, text: str) -> Path:
-    """Write `text` to `name` under `--out`; returns the written path."""
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / name
-    path.write_text(text)
+    """Write `text` to `name` under `--out`, made if missing; returns the
+    written path.  An `--out` that cannot hold the file is a usage error."""
+    path = Path(args.out, name)
+    try:
+        try:
+            f = open(path, "w")
+        except FileNotFoundError:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            f = open(path, "w")
+        with f:
+            f.write(text)
+    except OSError as exc:
+        raise FixtureError(f"--out {args.out}: cannot write {name} ({exc})") from exc
     return path
 
 
@@ -409,17 +417,21 @@ def _attach_values(argv: list) -> list:
 
 
 @functools.cache
-def _value_flags(parser=None) -> frozenset:
-    """Every flag, across the commands under `parser` (default: the CLI's),
-    that takes a value."""
-    flags = set()
-    for action in (parser or _build_parser())._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                flags |= _value_flags(sub)
-        elif action.nargs is None:
-            flags.update(action.option_strings)
-    return frozenset(flags)
+def _value_flags() -> frozenset:
+    """Every flag, across the commands, that takes a value."""
+    return frozenset(flag for leaf in _command_parsers().values() for action in leaf._actions
+                     if action.nargs is None for flag in action.option_strings)
+
+
+def _subcommands(parser) -> dict:
+    return next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+@functools.cache
+def _command_parsers() -> dict:
+    """(group, command) -> that command's own parser, from `_build_parser`."""
+    return {(g, c): leaf for g, gp in _subcommands(_build_parser()).items()
+            for c, leaf in _subcommands(gp).items()}
 
 
 @functools.cache
@@ -483,10 +495,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv: list) -> argparse.Namespace:
+    """`_build_parser().parse_args(argv)`, parsed by the named command's own
+    parser; argv that names no command (a bad one, or `--help`) goes to the
+    full parser, for its messages."""
+    argv = _attach_values(argv)
+    leaf = _command_parsers().get(tuple(argv[:2]))
+    if leaf is None:
+        return _build_parser().parse_args(argv)
+    return leaf.parse_args(argv[2:], argparse.Namespace(group=argv[0], cmd=argv[1]))
+
+
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(
-            _attach_values(sys.argv[1:] if argv is None else argv))
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:

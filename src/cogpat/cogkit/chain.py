@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 from ..dds import plan
-from ..metagraph import IGNORANCE, TruthValue, TypedMetagraph, as_view
+from ..metagraph import IGNORANCE, TruthValue, TypedMetagraph
 from ..morphisms import memo_recurse
 from .pln import SingularityError, cwig, deduction, inversion
 
@@ -41,40 +41,41 @@ def implication_kb(nodes: dict, edges: list) -> TypedMetagraph:
     return mg
 
 
-def _is_statement(atom) -> bool:
-    return atom.type_label == "implies" and len(atom.targets) == 2
-
-
-def check_truth_values(view) -> None:
-    """A kb's concept nodes carry their priors and its statements (binary
-    `implies` edges) their truth values; raise ValueError naming the
-    lowest-id atom that lacks one."""
-    for _, a in sorted(view.atoms.items()):
-        if a.tv is None and (a.is_node or _is_statement(a)):
-            raise ValueError(f"{a.kind} {a.id} ({a.type_label!r}) has no truth value")
-
-
 @dataclass
 class KbModel:
-    """Statement-level view of a kb snapshot."""
+    """Statement-level view of a kb: its concept nodes (type label = concept
+    name) carry their priors and its statements, binary `implies` edges,
+    their truth values."""
 
     priors: dict                 # concept name -> prior strength
     stmts: dict                  # (src, dst) -> TruthValue
 
     @classmethod
     def from_view(cls, view) -> "KbModel":
-        view = as_view(view)
-        check_truth_values(view)
-        priors = {}
-        names = {}
-        for node in view.nodes():
-            priors[node.type_label] = node.tv.s
-            names[node.id] = node.type_label
+        """The model of a kb store or snapshot, read in one pass over its
+        atoms by id; raise ValueError naming the lowest-id concept or
+        statement that lacks a truth value, else the lowest-id statement
+        that targets an atom other than a concept."""
+        priors, names, statements = {}, {}, []
+        for _, a in sorted(view.atoms.items()):
+            node = a.is_node
+            if not (node or a.type_label == "implies" and len(a.targets) == 2):
+                continue
+            if a.tv is None:
+                raise ValueError(f"{a.kind} {a.id} ({a.type_label!r}) has no truth value")
+            if node:
+                priors[a.type_label] = a.tv.s
+                names[a.id] = a.type_label
+            else:
+                statements.append(a)
         stmts = {}
-        for edge in view.edges():
-            if _is_statement(edge):
-                a, b = edge.targets
-                stmts[(names[a], names[b])] = edge.tv
+        for edge in statements:
+            x, y = edge.targets
+            try:
+                stmts[(names[x], names[y])] = edge.tv
+            except KeyError:
+                raise ValueError(f"edge {edge.id} ('implies') targets an atom that is not a "
+                                 "concept node") from None
         return cls(priors, stmts)
 
     def belief(self, key) -> TruthValue:
@@ -197,8 +198,13 @@ def _replay(model: KbModel, taken) -> ChainResult:
     return ChainResult(added, trace, False, model)
 
 
+def _as_model(kb) -> KbModel:
+    """`kb`'s model; a `KbModel` (as `fixtures.load_kb` gives) is its own."""
+    return kb if type(kb) is KbModel else KbModel.from_view(kb)
+
+
 def forward_chain(kb, rules, steps: int, executor: str = "greedy") -> ChainResult:
-    model = KbModel.from_view(kb)
+    model = _as_model(kb)
     if not model.stmts:
         raise ValueError("kb holds no statements")
     if executor == "dp" and steps > 0:
@@ -259,7 +265,7 @@ def backward_chain_tv(kb, target: tuple, budget: int, seed: int = 0):
     remains, the fold chains the halves back with deduction.  Returns (tv,
     nodes): the dag's BidNodes in id order, ids in visiting order, root
     first."""
-    model = KbModel.from_view(kb)
+    model = _as_model(kb)
     rng = random.Random(seed)
     ids: dict = {}               # statement -> node id
     left = budget

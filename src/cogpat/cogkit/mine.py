@@ -10,7 +10,8 @@ A conjunction is counted without enumerating the E^k edge tuples: the
 clauses bind variables one after another over an index of the edges by
 (type, source), in the manner of Generic Join, and the count from each
 partial binding is memoized on the variables later clauses still use, so
-the work follows the distinct partial bindings, not the tuples.
+the work follows the distinct partial bindings, not the tuples.  The index
+is built once per snapshot, not once per pattern.
 
 Mining is declared as a decision process (state, actions, successor,
 reward) and run by `dds.greedy`, as clustering is.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import weakref
 from dataclasses import dataclass
 
 from ..dds import greedy
@@ -58,19 +60,36 @@ def disj(*clauses) -> Pattern:
     return Pattern("disj", frozenset(clauses))
 
 
-def _kb_edges(view) -> list:
+# snapshot -> `_kb_index(snapshot)`, kept while the snapshot lives; a
+# snapshot never changes, so neither does its entry
+_KB_INDEX: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _kb_index(view) -> tuple:
+    """(n, index): the number of `view`'s binary edges and their index by
+    (type, None) and (type, source) -> [(source, target)] in edge order,
+    built once per snapshot."""
     view = as_view(view)
-    return [e for e in view.edges() if len(e.targets) == 2]
+    cached = _KB_INDEX.get(view)
+    if cached is None:
+        index: dict = {}
+        n = 0
+        for e in view.edges():
+            if len(e.targets) == 2:
+                a, b = e.targets
+                index.setdefault((e.type_label, None), []).append((a, b))
+                index.setdefault((e.type_label, a), []).append((a, b))
+                n += 1
+        cached = _KB_INDEX[view] = (n, index)
+    return cached
 
 
 def clause_frequency(view, clause: Clause) -> float:
-    edges = _kb_edges(view)
-    if not edges:
-        return 0.0
-    return sum(1 for e in edges if e.type_label == clause[0]) / len(edges)
+    n, index = _kb_index(view)
+    return len(index.get((clause[0], None), ())) / n if n else 0.0
 
 
-def _count_conj(edges, clauses) -> int:
+def _count_conj(index, clauses) -> int:
     """Number of edge tuples, one edge per clause, under which every
     variable takes one value.
 
@@ -81,11 +100,6 @@ def _count_conj(edges, clauses) -> int:
     share one count, and a repeated edge is a repeated child, so
     multiplicities survive.
     """
-    index: dict = {}  # (type, None) and (type, source) -> [(source, target)]
-    for e in edges:
-        a, b = e.targets
-        index.setdefault((e.type_label, None), []).append((a, b))
-        index.setdefault((e.type_label, a), []).append((a, b))
     k = len(clauses)
     live = [tuple(sorted({v for _, vs in clauses[i:] for v in vs})) for i in range(k + 1)]
 
@@ -112,14 +126,13 @@ def _count_conj(edges, clauses) -> int:
 
 
 def pattern_frequency(view, pattern: Pattern) -> float:
-    edges = _kb_edges(view)
-    if not edges:
+    n, index = _kb_index(view)
+    if not n:
         return 0.0
     clauses = pattern.sorted_clauses
     if pattern.kind == "disj":
-        types = {c[0] for c in clauses}
-        return sum(1 for e in edges if e.type_label in types) / len(edges)
-    return _count_conj(edges, clauses) / len(edges) ** len(clauses)
+        return sum(len(index.get((t, None), ())) for t in {c[0] for c in clauses}) / n
+    return _count_conj(index, clauses) / n ** len(clauses)
 
 
 def pattern_surprisingness(view, pattern: Pattern) -> float:
@@ -169,7 +182,7 @@ def mine_patterns(view, seeds, min_freq: float, budget: int) -> list[MinedPatter
     if budget < 0:
         raise ValueError("budget must be >= 0")
     view = as_view(view)
-    edge_types = sorted({e.type_label for e in _kb_edges(view)})
+    edge_types = sorted(t for t, source in _kb_index(view)[1] if source is None)
     frequency = functools.cache(lambda p: pattern_frequency(view, p))
 
     @functools.cache  # a pass revisits its pool

@@ -13,7 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .cofo import CofoProblem, Hypothesis
-from .cogkit.chain import Rule, check_truth_values, deduction_rule, inversion_rule
+from .cogkit.chain import KbModel, Rule, deduction_rule, inversion_rule
 from .dds import DdsProblem
 from .metagraph import Atom, TypedMetagraph, decode_json, is_finite_number
 from .subpattern import SimplicityMeasure, disjoint_union
@@ -24,16 +24,19 @@ class FixtureError(Exception):
 
 
 def load_json(path, decode=json.loads) -> dict:
-    path = Path(path)
-    if not path.is_file():
-        raise FixtureError(f"{path}: fixture file not found")
     try:
-        data = decode(path.read_text())
+        f = open(path)
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, ValueError):
+        # ValueError: a path holding a null byte
+        raise FixtureError(f"{Path(path)}: fixture file not found") from None
+    try:
+        with f:
+            data = decode(f.read())
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         # RecursionError: nesting deeper than the decoder's recursion limit
-        raise FixtureError(f"{path}: invalid JSON ({exc})") from exc
+        raise FixtureError(f"{Path(path)}: invalid JSON ({exc})") from exc
     if not isinstance(data, dict):
-        raise FixtureError(f"{path}: top level must be an object")
+        raise FixtureError(f"{Path(path)}: top level must be an object")
     return data
 
 
@@ -69,14 +72,13 @@ def load_metagraph(path) -> TypedMetagraph:
         raise FixtureError(f"{path}: malformed metagraph ({exc})") from exc
 
 
-def load_kb(path) -> TypedMetagraph:
-    """An implication kb for chaining; see `check_truth_values`."""
+def load_kb(path) -> KbModel:
+    """An implication kb for chaining, as its `KbModel`."""
     kb = load_metagraph(path)
     try:
-        check_truth_values(kb)
+        return KbModel.from_view(kb)
     except ValueError as exc:
         raise FixtureError(f"{path}: {exc}") from exc
-    return kb
 
 
 def load_dds(path) -> DdsProblem:

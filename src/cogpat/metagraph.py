@@ -201,9 +201,11 @@ def decode_json(text: str) -> Any:
     list comes back as its `Atom` when every one of them is a well-formed
     atom object (see the module docstring)."""
     made: list[Atom] = []
+    big, absent = sys.float_info.max, object()
 
     def atom(obj: dict) -> Any:
-        # a missing field reads as None, which no check below accepts
+        # a missing field reads as None, which no check below accepts; the
+        # number checks are `is_finite_number`'s, written out
         label = obj.get("type")
         if type(label) is not str:
             return obj
@@ -222,19 +224,21 @@ def decode_json(text: str) -> Any:
         else:
             return obj
         sti, lti = obj.get("sti", 0.0), obj.get("lti", 0.0)
-        if not (is_finite_number(sti) and is_finite_number(lti)):
+        if not ((type(sti) is float or type(sti) is int) and -big <= sti <= big
+                and (type(lti) is float or type(lti) is int) and -big <= lti <= big):
             return obj
-        tv = None
-        if "tv" in obj:
+        tv = obj.get("tv", absent)
+        if tv is absent:
+            tv = None
+        elif type(tv) is dict and len(tv) == 2:
             # what TruthValue(**tv) builds, for exactly s and c given as numbers
-            tv = obj["tv"]
-            if type(tv) is not dict or len(tv) != 2:
-                return obj
             s, c = tv.get("s"), tv.get("c")
-            if not (is_finite_number(s) and is_finite_number(c)
-                    and 0.0 <= s <= 1.0 and 0.0 <= c < 1.0):
+            if not ((type(s) is float or type(s) is int) and 0.0 <= s <= 1.0
+                    and (type(c) is float or type(c) is int) and 0.0 <= c < 1.0):
                 return obj
             tv = _tuple_new(TruthValue, (s, c))
+        else:
+            return obj
         a = _tuple_new(Atom, (i, kind, label, targets, tv, sti, lti))
         made.append(a)
         return a

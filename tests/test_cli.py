@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
@@ -150,6 +152,30 @@ class TestExitCodes:
         assert run("cog", "chain", "--fixture", tmp_path / "nope.json",
                    "--out", tmp_path) == 2
 
+    @pytest.mark.parametrize("where", ["a directory", "under a file"])
+    def test_fixture_path_that_is_no_file(self, tmp_path, where, capsys):
+        (tmp_path / "file.json").write_text("{}")
+        path = tmp_path / ("dir.json" if where == "a directory" else "file.json/kb.json")
+        if where == "a directory":
+            path.mkdir()
+        assert run("cog", "chain", "--fixture", path, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err == f"error: {path}: fixture file not found\n"
+
+    @pytest.mark.parametrize("where", ["a file", "under a file", "a directory at the artifact"])
+    def test_unusable_out(self, tmp_path, where, capsys):
+        """An --out that cannot hold the artifact is a usage error: one
+        error line and exit 2."""
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept")
+        out = {"a file": blocker, "under a file": blocker / "sub",
+               "a directory at the artifact": tmp_path / "out"}[where]
+        if where == "a directory at the artifact":
+            (out / "morph.json").mkdir(parents=True)
+        assert run("morph", "demo", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out {out}: cannot write morph.json (") and err.count("\n") == 1
+        assert blocker.read_text() == "kept"
+
     @pytest.mark.parametrize("command", [["chain"], ["backchain", "--target", "P0,P1"]])
     def test_kb_node_without_truth_value(self, tmp_path, command, capsys):
         # kb_social.json is a mining kb: its nodes carry no prior
@@ -167,6 +193,22 @@ class TestExitCodes:
         bad.write_text(json.dumps(data))
         assert run("cog", *command, "--fixture", bad, "--out", tmp_path / "out") == 2
         assert "kb.json: edge 3 ('implies') has no truth value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["chain"], ["backchain", "--target", "bad"]])
+    @pytest.mark.parametrize("target", [3, -1])
+    def test_kb_statement_on_a_non_concept(self, tmp_path, command, target, capsys):
+        """A statement that targets an edge or a dangling slot is a fixture
+        error, reported before a malformed --target."""
+        data = json.loads((FIXTURES / "kb_two_hop.json").read_text())
+        data["atoms"].append({"id": 5, "kind": "edge", "type": "implies", "targets": [0, target],
+                              "tv": {"s": 0.5, "c": 0.5}})
+        data["dangling"] = [{"slot": 0, "type": "A"}]
+        bad = tmp_path / "kb.json"
+        bad.write_text(json.dumps(data))
+        assert run("cog", *command, "--fixture", bad, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: edge 5 ('implies') targets an atom that is not a concept node\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("executor", ["sdp", "chrono"])
     @pytest.mark.parametrize("command", [["chain", "--fixture", FIXTURES / "kb_two_hop.json"],
@@ -657,6 +699,93 @@ class TestCliContract:
                         action.type(str(low - 1))
                 else:
                     assert action.type in (None, int, float), where
+
+
+# a value for any flag: valid ones, out-of-range and non-numeric ones, and
+# single-dash ones that a flag takes as its value
+FLAG_VALUES = ["0", "1", "3", "-1", "-3", "0.5", "2", "nan", "-inf", "-nan", "-1e5", "1e5", "x",
+               "", "greedy", "dp", "sdp", "chrono", "A,B", "out", "-", "--"]
+
+
+def valid_value(action) -> str:
+    """A value `action`'s parser accepts."""
+    return action.choices[0] if action.choices else "3" if action.type else "A,B"
+
+
+@st.composite
+def command_argv(draw) -> list:
+    """argv for one command: its required flags or not, then its own flags,
+    other commands' flags, abbreviated, unknown and help flags, each with a
+    valid or a drawn value, attached with `=`, or none."""
+    leaves = leaf_parsers()
+    command = draw(st.sampled_from(sorted(leaves)))
+    takes_value = {f: a for a in leaves[command]._actions if a.nargs is None for f in a.option_strings}
+    own = sorted(takes_value)
+    others = sorted({f for leaf in leaves.values() for a in leaf._actions if a.nargs is None
+                     for f in a.option_strings})
+    abbreviated = [f[:k] for f in own for k in (3, len(f) - 1) if 2 < k < len(f)]
+    flag = st.one_of(st.sampled_from(own), st.sampled_from(own), st.sampled_from(others),
+                     st.sampled_from(abbreviated + ["--bogus", "-x", "extra", "-h", "--help"]))
+    argv = command.split()
+    if draw(st.booleans()):
+        argv += [token for f, a in takes_value.items() if a.required for token in (f, valid_value(a))]
+    for token in draw(st.lists(flag, max_size=5)):
+        value = draw(st.sampled_from(FLAG_VALUES) | st.just(
+            valid_value(takes_value[token]) if token in takes_value else "x"))
+        how = draw(st.sampled_from(["apart", "attached", "none"]))
+        argv += ([token, value] if how == "apart" else
+                 [token + "=" + value] if how == "attached" else [token])
+    return argv
+
+
+def parse_outcome(parse, argv) -> tuple:
+    """(exit code, parsed values, stdout, stderr) of `parse(argv)`; exit
+    code None and values the namespace's sorted items when it parses."""
+    out, err = io.StringIO(), io.StringIO()
+    code = values = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            values = repr(sorted(vars(parse(argv)).items()))
+        except SystemExit as exc:
+            code = exc.code
+    return code, values, out.getvalue(), err.getvalue()
+
+
+def full_parse(argv) -> argparse.Namespace:
+    """The parse `main` made before each command had its own: the whole
+    CLI's parser, once a single-dash token after a flag that takes a value,
+    in any command, is attached to that flag."""
+    takes_value = {f for leaf in leaf_parsers().values() for a in leaf._actions
+                   if a.nargs is None for f in a.option_strings}
+    attached = []
+    for token in argv:
+        if attached and attached[-1] in takes_value and token[:1] == "-" and token[1:2] != "-":
+            attached[-1] += "=" + token
+        else:
+            attached.append(token)
+    return _build_parser().parse_args(attached)
+
+
+class TestDispatch:
+    @settings(max_examples=400, deadline=None)
+    @given(argv=command_argv() | st.lists(
+        st.sampled_from(["cog", "dds", "chain", "solve", "bogus", "--help", "-h", "--out"]), max_size=3))
+    def test_table_dispatch_matches_the_full_parse(self, argv):
+        """Parsing with the named command's own parser gives the full
+        parser's exit code, handler and flag values, help text and error
+        message; only an unrecognized-arguments error names the command's
+        usage line and prog instead of the top level's."""
+        got = parse_outcome(cli._parse, argv)
+        want = parse_outcome(full_parse, argv)
+        assert got[:3] == want[:3]
+        assert got[3].partition(" error: ")[2] == want[3].partition(" error: ")[2]
+        if "error: unrecognized arguments: " not in want[3]:
+            assert got[3] == want[3]
+
+    def test_a_command_skips_the_full_parser(self, tmp_path, monkeypatch):
+        assert {" ".join(k): v for k, v in cli._command_parsers().items()} == leaf_parsers()
+        monkeypatch.setattr(_build_parser(), "parse_args", None)
+        assert run("morph", "demo", "--out", tmp_path) == 0
 
 
 def tree_bytes(root: Path) -> dict:

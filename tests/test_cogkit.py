@@ -8,6 +8,7 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cogpat import metagraph
 from cogpat.metagraph import TruthValue, TypedMetagraph
 from cogpat.cogkit import (
     MinedPattern,
@@ -673,6 +674,18 @@ class TestPatternMining:
         # the frequency reused for surprisingness gives the public value
         for m in mined:
             assert m.surprisingness == pattern_surprisingness(view, m.pattern)
+
+    def test_one_edge_scan_per_call(self, monkeypatch):
+        """The kb's edges are listed and indexed once per call, not once
+        per scored pattern or clause."""
+        scans = []
+        edges = metagraph._MgBase.edges
+        monkeypatch.setattr(metagraph._MgBase, "edges", lambda v: scans.append(v) or edges(v))
+        seeds = [conj(("likes", ("X", "Y"))), conj(("knows", ("X", "Y")))]
+        for kb in (likes_kb(), likes_kb()._origin):
+            scans.clear()
+            mined = mine_patterns(kb, seeds, min_freq=0.0, budget=4)
+            assert len(mined) == 6 and len(scans) == 1
 
     def test_min_freq_filters(self):
         view = likes_kb()

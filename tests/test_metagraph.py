@@ -22,6 +22,7 @@ from cogpat.metagraph import (
     TypedMetagraph,
     canonical_form,
     decode_json,
+    is_finite_number,
     join,
     ref_slot,
     slot_ref,
@@ -866,6 +867,109 @@ class TestDecodeJson:
         assert decode_json(json.dumps(ATOM)) == ATOM
         assert decode_json(json.dumps([ATOM])) == [ATOM]
         assert type(decode_json(json.dumps({"atoms": [ATOM]}))["atoms"][0]) is Atom
+
+
+def reference_decode_json(text):
+    """`decode_json` as it was when each field went through its own
+    `is_finite_number` call: the reference the inline checks must match."""
+    made = []
+
+    def atom(obj):
+        label = obj.get("type")
+        if type(label) is not str:
+            return obj
+        i = obj.get("id")
+        if type(i) is not int or i < 0:
+            return obj
+        kind, targets = obj.get("kind"), obj.get("targets", ())
+        if kind == "edge" and type(targets) is list and targets:
+            for t in targets:
+                if type(t) is not int:
+                    return obj
+            targets = tuple(targets)
+        elif kind == "node" and (targets == () or targets == []):
+            targets = ()
+        else:
+            return obj
+        sti, lti = obj.get("sti", 0.0), obj.get("lti", 0.0)
+        if not (is_finite_number(sti) and is_finite_number(lti)):
+            return obj
+        tv = None
+        if "tv" in obj:
+            tv = obj["tv"]
+            if type(tv) is not dict or len(tv) != 2:
+                return obj
+            s, c = tv.get("s"), tv.get("c")
+            if not (is_finite_number(s) and is_finite_number(c)
+                    and 0.0 <= s <= 1.0 and 0.0 <= c < 1.0):
+                return obj
+            tv = TruthValue(s, c)
+        a = Atom(i, kind, label, targets, tv, sti, lti)
+        made.append(a)
+        return a
+
+    data = json.loads(text, object_hook=atom)
+    if made and (type(data) is not dict or data.get("atoms") != made):
+        return json.loads(text)
+    return data
+
+
+# the values the fixture probe puts in place of any one value, an int
+# beyond the float range and the bound a confidence must stay below
+PROBE_VALUES = [None, True, -1, 0, 2, 1.5, "x", [], {}, float("nan"), [1, 2], 10**400, 1.0]
+WELL_FORMED_ATOMS = [
+    {"id": 0, "kind": "node", "type": "A"},
+    {"id": 3, "kind": "node", "type": "", "targets": [], "tv": {"s": 1, "c": 0}, "sti": -2.5,
+     "lti": 1e300},
+    {"id": 2, "kind": "edge", "type": "E", "targets": [0, -1], "tv": {"s": 0.5, "c": 0.25}, "sti": 3},
+    {"id": 1, "kind": "edge", "type": "E", "targets": [2, 0], "lti": 0.0},
+]
+
+
+ATOM_FIELDS = ["id", "kind", "type", "targets", "tv", "sti", "lti", "tv.s", "tv.c", "tv.k"]
+
+
+def edit_field(obj, field, value):
+    """Remove `field` of `obj` (value "absent") or set it to `value`;
+    "tv.s" names the tv's field s, if the tv is an object."""
+    holder, key = (obj.get("tv"), field[3:]) if field.startswith("tv.") else (obj, field)
+    if type(holder) is dict:
+        if value == "absent":
+            holder.pop(key, None)
+        else:
+            holder[key] = copy.deepcopy(value)
+
+
+@st.composite
+def atom_objects(draw):
+    """A well-formed atom object with up to three of its fields, or of its
+    tv's, removed or set to a probe value."""
+    obj = copy.deepcopy(draw(st.sampled_from(WELL_FORMED_ATOMS)))
+    for field in draw(st.lists(st.sampled_from(ATOM_FIELDS), max_size=3)):
+        edit_field(obj, field, draw(st.sampled_from(["absent", *PROBE_VALUES])))
+    return obj
+
+
+class TestDecoderReference:
+    def test_every_single_field_edit(self):
+        """Each well-formed atom with any one field, or tv field, removed or
+        set to any probe value decodes as the reference decodes it."""
+        for base, field, value in itertools.product(WELL_FORMED_ATOMS, ATOM_FIELDS,
+                                                    ["absent", *PROBE_VALUES]):
+            obj = copy.deepcopy(base)
+            edit_field(obj, field, value)
+            text = json.dumps({"atoms": [obj]})
+            assert repr(decode_json(text)) == repr(reference_decode_json(text)), (field, value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(atoms=st.lists(atom_objects(), max_size=3), nested=st.booleans())
+    def test_matches_the_reference_decoder(self, atoms, nested):
+        """The same `Atom`s, or the same fallback to plain dicts, as the
+        decoder with one `is_finite_number` call per field."""
+        text = json.dumps({"atoms": atoms, **({"extra": atoms[:1]} if nested else {})})
+        got, want = decode_json(text), reference_decode_json(text)
+        assert repr(got) == repr(want)
+        assert [type(a) for a in got["atoms"]] == [type(a) for a in want["atoms"]]
 
 
 JSON_KEYS = st.sampled_from(["atoms", "dangling", "id", "kind", "type", "targets", "tv", "sti",

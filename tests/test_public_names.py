@@ -34,7 +34,7 @@ ALLOWED = {
              "relalg.CarrierMismatchError", "relalg.RelAlgError"),
     **_names("type of a value its module's functions take or return",
              "cofo.Dataset", "cofo.InfoGain", "cofo.PromisingSet",
-             "cogkit.chain.BidNode", "cogkit.chain.ChainResult", "cogkit.chain.KbModel",
+             "cogkit.chain.BidNode", "cogkit.chain.ChainResult",
              "cogkit.chain.StepSet", "cogkit.cluster.Clustering", "cogkit.ecan.EcanResult",
              "cogkit.evolve.EvolveResult", "cogkit.mine.Clause", "cogkit.mine.MinedPattern",
              "cogkit.mine.Pattern", "dds.Cell", "dds.Trajectory", "dds.ValueFunction",
