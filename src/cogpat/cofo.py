@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from .dds import DdsProblem, reachable_problem
-from .metagraph import is_finite_number
 
 
 class CofoError(Exception):
@@ -37,8 +36,7 @@ class InconsistencyError(CofoError):
         self.pair = pair
 
 
-@dataclass(frozen=True)
-class Hypothesis:
+class Hypothesis(NamedTuple):
     name: str
     table: Mapping[Any, float]
     prior: float
@@ -57,9 +55,10 @@ class CofoProblem:
     tol: float = 0.0
 
     def __post_init__(self):
-        total = sum(w for _, w in self.domain)
-        if total <= 0:
-            raise CofoError("domain weights must have positive mass")
+        weights = [w for _, w in self.domain]
+        total = sum(weights)
+        if min(weights, default=0.0) < 0 or not 0.0 < total < math.inf:
+            raise CofoError("domain weights must be >= 0, with a positive, finite sum")
         self.domain = [(x, w / total) for x, w in self.domain]
         self._weights = dict(self.domain)
         if len(self._weights) != len(self.domain):
@@ -68,20 +67,17 @@ class CofoProblem:
             raise CofoError("rho must lie in (0,1)")
         if not (self.tol >= 0.0):
             raise CofoError("tol must be >= 0")
-        psum = sum(h.prior for h in self.hypotheses)
-        if psum <= 0 or any(h.prior <= 0 for h in self.hypotheses):
-            raise CofoError("hypothesis priors must be positive")
+        psum = sum(priors := [h.prior for h in self.hypotheses])
+        if not 0.0 < psum < math.inf or min(priors) <= 0:
+            raise CofoError("hypothesis priors must be positive, with a finite sum")
         self.hypotheses = [
-            Hypothesis(h.name, h.table, h.prior / psum) for h in self.hypotheses
+            Hypothesis(name, table, prior / psum) for name, table, prior in self.hypotheses
         ]
-        for name, table in [("objective", self.objective)] + [
-                (f"hypothesis {h.name!r}", h.table) for h in self.hypotheses]:
-            missing = [x for x in self._weights if x not in table]
-            if missing:
-                raise CofoError(f"{name} has no value at domain point {missing[0]!r}")
-            bad = [x for x in self._weights if not is_finite_number(table[x])]
-            if bad:
-                raise CofoError(f"{name} value at domain point {bad[0]!r} is not a finite number")
+        for name, table in [(None, self.objective), *((h.name, h.table) for h in self.hypotheses)]:
+            if not table.keys() >= self._weights.keys():
+                missing = next(x for x in self._weights if x not in table)
+                name = "objective" if name is None else f"hypothesis {name!r}"
+                raise CofoError(f"{name} has no value at domain point {missing!r}")
         # data-independent, so one per hypothesis, in hypothesis order
         self._top_sets = [top_set(h.table, self.domain, self.rho) for h in self.hypotheses]
 
@@ -121,17 +117,15 @@ def top_set(f: Mapping, domain: Sequence, rho: float) -> set:
     """
     if not (0.0 < rho < 1.0):
         raise CofoError("rho must lie in (0,1)")
-    by_value: dict[float, list] = {}
-    for x, w in domain:
-        by_value.setdefault(f[x], []).append((x, w))
     out: set = set()
-    mass = 0.0
-    for v in sorted(by_value, reverse=True):
-        for x, w in by_value[v]:
-            out.add(x)
-            mass += w
-        if mass >= rho - 1e-12:
+    mass, last = 0.0, None
+    # a stable sort: each tie group in domain order
+    for x, w in sorted(domain, key=lambda xw: f[xw[0]], reverse=True):
+        if out and f[x] != last and mass >= rho - 1e-12:
             break
+        out.add(x)
+        mass += w
+        last = f[x]
     return out
 
 

@@ -16,7 +16,6 @@ from .chain import (
     backward_chain_tv,
     deduction_rule,
     forward_chain,
-    implication_kb,
     inversion_rule,
 )
 from .cluster import (
@@ -31,7 +30,6 @@ from .mine import (
     Pattern,
     clause_frequency,
     conj,
-    disj,
     mine_patterns,
     pattern_frequency,
     pattern_surprisingness,

@@ -24,21 +24,9 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 from ..dds import plan
-from ..metagraph import IGNORANCE, TruthValue, TypedMetagraph
+from ..metagraph import IGNORANCE, TruthValue
 from ..morphisms import memo_recurse
 from .pln import SingularityError, cwig, deduction, inversion
-
-
-def implication_kb(nodes: dict, edges: list) -> TypedMetagraph:
-    """Build a kb: nodes maps concept name to (s, c); edges lists
-    (src, dst, s, c) implications."""
-    mg = TypedMetagraph()
-    ids = {}
-    for name, (s, c) in nodes.items():
-        ids[name] = mg.add_node(name, tv=TruthValue(s, c))
-    for src, dst, s, c in edges:
-        mg.add_edge("implies", [ids[src], ids[dst]], tv=TruthValue(s, c))
-    return mg
 
 
 @dataclass

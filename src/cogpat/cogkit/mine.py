@@ -56,10 +56,6 @@ def conj(*clauses) -> Pattern:
     return Pattern("conj", frozenset(clauses))
 
 
-def disj(*clauses) -> Pattern:
-    return Pattern("disj", frozenset(clauses))
-
-
 # snapshot -> `_kb_index(snapshot)`, kept while the snapshot lives; a
 # snapshot never changes, so neither does its entry
 _KB_INDEX: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()

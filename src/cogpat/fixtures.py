@@ -1,18 +1,21 @@
-"""JSON fixture loading with schema validation.
-
-Every loader raises FixtureError naming the offending path and field, so the
-CLI can exit with a usage-class error instead of a traceback.  Callables
-(rule formulas, combinators, subpattern operators, simplicity measures) are
-referenced by name in fixtures and resolved against the registries below.
-"""
+"""JSON fixture loading.  Each loader states the fields it reads through one
+checker, whose predicates (`_Want`) hold every type test on fixture values.
+A refused value is a FixtureError naming the path and the value's place
+("<path>: field 'x' must be ...", "<path>: x[i] must be ..."); the CLI exits
+2 on it.  Fixtures name callables, looked up in the registries below."""
 
 from __future__ import annotations
 
 import json
+import math
+import reprlib
 from dataclasses import replace
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
+from typing import Any, Callable, Optional
 
-from .cofo import CofoProblem, Hypothesis
+from .cofo import CofoError, CofoProblem, Hypothesis
 from .cogkit.chain import KbModel, Rule, deduction_rule, inversion_rule
 from .dds import DdsProblem
 from .metagraph import Atom, TypedMetagraph, decode_json, is_finite_number
@@ -21,6 +24,99 @@ from .subpattern import SimplicityMeasure, disjoint_union
 
 class FixtureError(Exception):
     pass
+
+
+# ---------------------------------------------------------------------------
+# The checker
+
+
+class _Want:
+    """`test(v)` holds when `v` is `what`.  `every(vs)`, if given, tests a
+    list in a few C-level passes; where it holds without raising, `test`
+    holds for each entry (save that a sum takes an int just past the float
+    range, which float() rounds to the largest float)."""
+    __slots__ = ("what", "test", "every")
+
+    def __init__(self, what: str, test: Callable[[Any], bool], every: Optional[Callable] = None):
+        self.what, self.test, self.every = what, test, every
+
+
+def _object(*names: str) -> _Want:
+    """An object holding `names`; a decoded `Atom` holds every atom field."""
+    held = set(names)
+    return _Want("an object" + (" holding " + ", ".join(map(repr, names)) if names else ""),
+                 lambda v: type(v) is Atom or type(v) is dict and v.keys() >= held,
+                 lambda vs: set(map(type, vs)) <= {Atom})
+
+
+def _one_of(registry: dict) -> _Want:
+    return _Want("one of " + ", ".join(map(repr, registry)),
+                 lambda v: type(v) is str and v in registry)
+
+
+_ANY = _Want("any value", lambda v: True)
+_OBJECT = _object()
+_LIST = _Want("a list", lambda v: type(v) is list)
+_STRING = _Want("a string", lambda v: type(v) is str)
+_FLAG = _Want("true or false", lambda v: type(v) is bool)
+_NUMBER = _Want("a finite number", is_finite_number,
+                lambda vs: set(map(type, vs)) <= {int, float} and math.isfinite(sum(vs, 0.0)))
+_NUMBERS = _Want("a list of finite numbers",
+                 lambda v: type(v) is list and all(map(is_finite_number, v)))
+_POSITIVE_INT = _Want("a positive integer", lambda v: type(v) is int and v >= 1)
+# two columns (zip raises unless each pair holds two values), then numbers
+# only: no other JSON value of two entries holds numbers
+_PAIR = _Want("an [x, y] pair of finite numbers",
+              lambda v: type(v) is list and len(v) == 2 and all(map(is_finite_number, v)),
+              lambda vs: len(xy := list(zip(*vs, strict=True))) == 2 and _NUMBER.every(xy[0] + xy[1]))
+_ATOM, _SLOT = _object("id", "kind", "type"), _object("type")
+_HYPOTHESIS = _Want("an object holding a string 'name', a finite number 'prior' and a list 'table'",
+                    lambda v: type(v) is dict and type(v.get("name")) is str
+                    and is_finite_number(v.get("prior")) and type(v.get("table")) is list)
+_REQUIRED = object()
+
+
+def _fail(path, where: str, value, want: _Want):
+    raise FixtureError(f"{path}: {where} must be {want.what}, got {reprlib.repr(value)}")
+
+
+def _field(path, data, name: str, want: _Want, default=_REQUIRED, where: str = ""):
+    """`data[name]` once `want` holds for it, or its `default` if absent."""
+    if name not in data:
+        if default is _REQUIRED:
+            raise FixtureError(f"{path}: {where}missing required field {name!r}")
+        return default
+    if not want.test(value := data[name]):
+        _fail(path, f"{where}field {name!r}", value, want)
+    return value
+
+
+def _every(path, want: _Want, *groups) -> None:
+    """`want` holds for each entry of every (name, entries[, keys]) group; the
+    first that fails is named name[key], its key from `keys` or its index."""
+    values = list(chain.from_iterable(map(itemgetter(1), groups)))
+    try:
+        if want.every and want.every(values):
+            return
+    except (TypeError, ValueError, OverflowError):
+        pass
+    if all(map(want.test, values)):
+        return
+    for name, entries, *keys in groups:
+        for i, value in enumerate(entries):
+            if not want.test(value):
+                _fail(path, f"{name}[{keys[0][i] if keys else i!r}]", value, want)
+
+
+def _entries(path, data, name: str, want: _Want, default=_REQUIRED) -> list:
+    """Field `name` of `data`: a list whose every entry `want` accepts."""
+    entries = _field(path, data, name, _LIST, default)
+    _every(path, want, (name, entries))
+    return entries
+
+
+# ---------------------------------------------------------------------------
+# Loaders
 
 
 def load_json(path, decode=json.loads) -> dict:
@@ -35,37 +131,15 @@ def load_json(path, decode=json.loads) -> dict:
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         # RecursionError: nesting deeper than the decoder's recursion limit
         raise FixtureError(f"{Path(path)}: invalid JSON ({exc})") from exc
-    if not isinstance(data, dict):
-        raise FixtureError(f"{Path(path)}: top level must be an object")
+    if not _OBJECT.test(data):
+        _fail(path, "top level", data, _OBJECT)
     return data
-
-
-def _require(data: dict, field: str, path) -> object:
-    if field not in data:
-        raise FixtureError(f"{path}: missing required field {field!r}")
-    return data[field]
-
-
-def _require_entries(entries: list, field: str, names: tuple, path) -> None:
-    """`entries` (field `field`) is a list and each entry an object holding
-    `names`; an `Atom` decoded from a well-formed atom entry holds them all."""
-    if not isinstance(entries, list):
-        raise FixtureError(f"{path}: field {field!r} must be a list")
-    for i, entry in enumerate(entries):
-        if type(entry) is Atom:
-            continue
-        if not isinstance(entry, dict):
-            raise FixtureError(f"{path}: {field}[{i}] must be an object")
-        for name in names:
-            if name not in entry:
-                raise FixtureError(f"{path}: {field}[{i}] missing field {name!r}")
 
 
 def load_metagraph(path) -> TypedMetagraph:
     data = load_json(path, decode_json)
-    atoms = _require(data, "atoms", path)
-    _require_entries(atoms, "atoms", ("id", "kind", "type"), path)
-    _require_entries(data.get("dangling", []), "dangling", ("type",), path)
+    _entries(path, data, "atoms", _ATOM)
+    _entries(path, data, "dangling", _SLOT, [])
     try:
         return TypedMetagraph.from_dict(data)
     except Exception as exc:
@@ -82,96 +156,69 @@ def load_kb(path) -> KbModel:
 
 
 def load_dds(path) -> DdsProblem:
+    """Decision tables; `DdsProblem.from_tables` checks what the tables hold."""
     data = load_json(path)
-    for field in ("stages", "states", "actions"):
-        _require(data, field, path)
+    for name, want in (("stages", _ANY), ("states", _OBJECT), ("actions", _OBJECT)):
+        _field(path, data, name, want)
     try:
         return DdsProblem.from_tables(data)
     except Exception as exc:
         raise FixtureError(f"{path}: malformed decision tables ({exc})") from exc
 
 
-RULE_FORMULAS = {
-    "deduction": deduction_rule,
-    "inversion": inversion_rule,
-}
+RULE_FORMULAS = {"deduction": deduction_rule, "inversion": inversion_rule}
+_FORMULA = _one_of(RULE_FORMULAS)
 
 
 def load_rules(path) -> list[Rule]:
     data = load_json(path)
-    entries = _require(data, "rules", path)
-    _require_entries(entries, "rules", (), path)
     rules = []
-    for i, entry in enumerate(entries):
-        formula = entry.get("formula")
-        if not isinstance(formula, str) or formula not in RULE_FORMULAS:
-            raise FixtureError(f"{path}: rules[{i}] has unknown formula {formula!r}")
+    for i, entry in enumerate(_entries(path, data, "rules", _OBJECT)):
+        where = f"rules[{i}] "
+        formula = _field(path, entry, "formula", _FORMULA, where=where)
         rule = RULE_FORMULAS[formula]()
-        declared = entry.get("reversible", rule.reversible)
+        declared = _field(path, entry, "reversible", _FLAG, rule.reversible, where)
         if declared != rule.reversible:
-            raise FixtureError(
-                f"{path}: rules[{i}] declares reversible={declared} "
-                f"but formula {formula!r} is reversible={rule.reversible}"
-            )
-        name = entry.get("name", rule.name)
-        if not isinstance(name, str):
-            raise FixtureError(f"{path}: rules[{i}] name {name!r} is not a string")
-        rules.append(replace(rule, name=name))
+            raise FixtureError(f"{path}: rules[{i}] declares reversible={declared} but formula "
+                               f"{formula!r} is reversible={rule.reversible}")
+        rules.append(replace(rule, name=_field(path, entry, "name", _STRING, rule.name, where)))
     return rules
 
 
-COMBINATORS = {
-    "left": lambda x, y: x,
-    "right": lambda x, y: y,
-    "min": min,
-    "max": max,
-}
+COMBINATORS = {"left": lambda x, y: x, "right": lambda x, y: y, "min": min, "max": max}
+_COMBINATOR = _one_of(COMBINATORS)
 
 
 def load_cofo(path) -> CofoProblem:
+    """A cofo problem; every point, weight, prior and value a finite number."""
     data = load_json(path)
-    domain = _require(data, "domain", path)
-    objective = _require(data, "objective", path)
-    hyps = _require(data, "hypotheses", path)
-    rho = _require(data, "rho", path)
-    names = _require(data, "combinators", path)
-    _require_entries(hyps, "hypotheses", ("name", "prior", "table"), path)
+    hyps = _entries(path, data, "hypotheses", _HYPOTHESIS)
+    _every(path, _PAIR, ("domain", _field(path, data, "domain", _LIST)),
+           ("objective", _field(path, data, "objective", _LIST)),
+           *((f"hypotheses[{i}] table", h["table"]) for i, h in enumerate(hyps)))
+    names = _entries(path, data, "combinators", _COMBINATOR)
     try:
-        for name in names:
-            if name not in COMBINATORS:
-                raise FixtureError(f"{path}: unknown combinator {name!r}")
         return CofoProblem(
-            domain=[(x, w) for x, w in domain],
-            objective={x: y for x, y in objective},
-            hypotheses=[Hypothesis(h["name"], {x: y for x, y in h["table"]}, h["prior"])
-                        for h in hyps],
-            rho=rho,
+            domain=data["domain"],
+            objective=dict(data["objective"]),
+            hypotheses=[Hypothesis(h["name"], dict(h["table"]), h["prior"]) for h in hyps],
+            rho=_field(path, data, "rho", _NUMBER),
             combinators={n: COMBINATORS[n] for n in names},
-            tol=data.get("tol", 0.0),
+            tol=_field(path, data, "tol", _NUMBER, 0.0),
         )
-    except FixtureError:
-        raise
-    except Exception as exc:
+    except CofoError as exc:
         raise FixtureError(f"{path}: malformed problem ({exc})") from exc
 
 
 def load_points(path):
     """Clustering fixture: labeled 2-d points plus a target block count."""
     data = load_json(path)
-    raw = _require(data, "points", path)
-    k = _require(data, "k", path)
-    if not isinstance(raw, dict):
-        raise FixtureError(f"{path}: field 'points' must be an object")
-    points = {}
-    for label, xy in raw.items():
-        if not (isinstance(xy, list) and len(xy) == 2 and all(map(is_finite_number, xy))):
-            raise FixtureError(f"{path}: points[{label!r}] must be an [x, y] pair of finite numbers")
-        points[label] = (float(xy[0]), float(xy[1]))
-    if type(k) is not int or k < 1:
-        raise FixtureError(f"{path}: field 'k' must be a positive integer")
-    if k > len(points):
-        raise FixtureError(f"{path}: field 'k' is {k}, more than the {len(points)} points")
-    return points, k
+    raw = _field(path, data, "points", _OBJECT)
+    k = _field(path, data, "k", _POSITIVE_INT)
+    _every(path, _PAIR, ("points", list(raw.values()), list(raw)))
+    if k > len(raw):
+        raise FixtureError(f"{path}: field 'k' is {k}, more than the {len(raw)} points")
+    return {label: (float(x), float(y)) for label, (x, y) in raw.items()}, k
 
 
 def _double(y, z):
@@ -184,53 +231,29 @@ def _merge_blocks(y, z):
     return tuple(sorted(disjoint_union(frozenset(y), frozenset(z))))
 
 
-SUBPATTERN_OPS = {
-    "double": _double,
-    "concat": lambda y, z: y + z,
-    "plus": lambda y, z: y + z,
-    "max": max,
-    "min": min,
-    "union-merge": _merge_blocks,
-}
-
+SUBPATTERN_OPS = {"double": _double, "concat": lambda y, z: y + z, "plus": lambda y, z: y + z,
+                  "max": max, "min": min, "union-merge": _merge_blocks}
 SIGMA_MEASURES = {
-    "length": lambda sstar: SimplicityMeasure(
-        sigma=len, sigma_star=lambda name, y, z: sstar
-    ),
-    "size-squared": lambda sstar: SimplicityMeasure(
-        sigma=lambda b: float(len(b) ** 2), sigma_star=lambda name, y, z: sstar
-    ),
+    "length": lambda sstar: SimplicityMeasure(len, lambda name, y, z: sstar),
+    "size-squared": lambda sstar: SimplicityMeasure(lambda b: float(len(b) ** 2),
+                                                    lambda name, y, z: sstar),
 }
+_OPERATOR, _MEASURE = _one_of(SUBPATTERN_OPS), _one_of(SIGMA_MEASURES)
 
 
 def load_subpattern(path):
-    """Subpattern fixture: items, operator names, and a simplicity measure.
-    The items are all strings, all finite numbers or all lists of finite
-    numbers, so that every operator is defined on them or raises
-    ValueError; union-merge takes no numbers."""
+    """Subpattern fixture: items (all strings, all finite numbers or all lists
+    of finite numbers, so that every operator is defined on them or raises
+    ValueError), operator names and a simplicity measure."""
     data = load_json(path)
-    items = _require(data, "items", path)
-    names = _require(data, "ops", path)
-    sigma_name, sigma_star = data.get("sigma", "length"), data.get("sigma_star", 1.0)
-    for field, value in (("items", items), ("ops", names)):
-        if not isinstance(value, list):
-            raise FixtureError(f"{path}: field {field!r} must be a list")
-    for name in names:
-        if not isinstance(name, str) or name not in SUBPATTERN_OPS:
-            raise FixtureError(f"{path}: unknown operator {name!r}")
-    ops = {n: SUBPATTERN_OPS[n] for n in names}
-    if not isinstance(sigma_name, str) or sigma_name not in SIGMA_MEASURES:
-        raise FixtureError(f"{path}: unknown simplicity measure {sigma_name!r}")
-    if not is_finite_number(sigma_star):
-        raise FixtureError(f"{path}: field 'sigma_star' must be a finite number")
-    sm = SIGMA_MEASURES[sigma_name](float(sigma_star))
-    kinds = {str if isinstance(v, str) else float if is_finite_number(v)
-             else list if isinstance(v, list) and all(map(is_finite_number, v)) else None
-             for v in items}
-    if len(kinds) != 1 or None in kinds:
+    items = _field(path, data, "items", _LIST)
+    ops = {n: SUBPATTERN_OPS[n] for n in _entries(path, data, "ops", _OPERATOR)}
+    measure = SIGMA_MEASURES[_field(path, data, "sigma", _MEASURE, "length")]
+    sm = measure(float(_field(path, data, "sigma_star", _NUMBER, 1.0)))
+    kind = next((k for k in (_STRING, _NUMBER, _NUMBERS) if all(map(k.test, items))), None)
+    if not items or kind is None:
         raise FixtureError(f"{path}: field 'items' must hold strings, finite numbers or lists "
                            "of finite numbers, all of one kind, and at least one")
-    if kinds == {float} and "union-merge" in ops:
+    if kind is _NUMBER and "union-merge" in ops:
         raise FixtureError(f"{path}: operator 'union-merge' takes strings or lists, not numbers")
-    items = [tuple(v) if isinstance(v, list) else v for v in items]
-    return items, ops, sm
+    return list(map(tuple, items)) if kind is _NUMBERS else items, ops, sm

@@ -17,8 +17,8 @@ the object's dict and target list die at once instead of living through
 the whole parse (and through the full collections that many promoted
 containers set off).  The hook never raises: any other object comes back
 unchanged.  If some object was not a well-formed atom entry of the
-top-level `atoms` list, the text is parsed again as plain dicts, so the
-dict path of `from_dict` reports it with the message it always gives.
+top-level `atoms` list, the text is parsed again as plain dicts, and the
+dict path of `from_dict`, which accepts the same atoms, reports it.
 """
 
 from __future__ import annotations
@@ -410,7 +410,12 @@ class TypedMetagraph(_MgBase):
                 targets = e.targets
             else:
                 tv = TruthValue.from_dict(e["tv"]) if "tv" in e else None
-                targets = tuple(e.get("targets", ()))
+                # as `decode_json` asks: a tv of two numbers, targets a list
+                if tv is not None and not (is_finite_number(tv.s) and is_finite_number(tv.c)):
+                    raise MgIntegrityError(f"atom {i} tv {e['tv']!r} does not hold two numbers")
+                targets = e.get("targets", [])
+                if type(targets) is not list:
+                    raise MgIntegrityError(f"atom {i} targets {targets!r} is not a list")
             for t in targets:
                 if type(t) is not int:
                     raise MgIntegrityError(f"target {t!r} is not an integer")
@@ -420,7 +425,7 @@ class TypedMetagraph(_MgBase):
                 elif ref_slot(t) >= n_slots:
                     raise MgIntegrityError(f"dangling slot {ref_slot(t)} not declared")
             if not decoded:
-                e = Atom(i, e["kind"], e["type"], targets, tv, e.get("sti", 0.0), e.get("lti", 0.0))
+                e = Atom(i, e["kind"], e["type"], tuple(targets), tv, e.get("sti", 0.0), e.get("lti", 0.0))
                 _check_fields(e)
             atoms[i] = e
             last = i

@@ -128,11 +128,6 @@ def _same_type(r1: FinRel, r2: FinRel):
     _match("type mismatch", (r1.src, r1.tgt), (r1.xs, r1.ys), (r2.src, r2.tgt), (r2.xs, r2.ys))
 
 
-def meet(r1: FinRel, r2: FinRel) -> FinRel:
-    _same_type(r1, r2)
-    return FinRel(r1.src, r1.tgt, tuple(map(operator.and_, r1.rows, r2.rows)), r1.xs, r1.ys)
-
-
 def union(r1: FinRel, r2: FinRel) -> FinRel:
     _same_type(r1, r2)
     return FinRel(r1.src, r1.tgt, tuple(map(operator.or_, r1.rows, r2.rows)), r1.xs, r1.ys)

@@ -26,7 +26,6 @@ from cogpat.cogkit import (
     backward_chain_tv,
     ecan_run,
     evolve,
-    implication_kb,
     one_max,
     point_mutation,
     uniform_crossover,
@@ -310,10 +309,13 @@ def test_criterion_7_cognitive_instance_oracles():
         for p in patterns
     )
 
-    kb = implication_kb(
-        {"A": (0.5, 0.9), "B": (0.5, 0.9), "C": (0.6, 0.9)},
-        [("A", "B", 0.8, 0.9), ("B", "C", 0.9, 0.9)],
-    )
+    kb = TypedMetagraph.from_dict({"atoms": [
+        {"id": 0, "kind": "node", "type": "A", "tv": {"s": 0.5, "c": 0.9}},
+        {"id": 1, "kind": "node", "type": "B", "tv": {"s": 0.5, "c": 0.9}},
+        {"id": 2, "kind": "node", "type": "C", "tv": {"s": 0.6, "c": 0.9}},
+        {"id": 3, "kind": "edge", "type": "implies", "targets": [0, 1], "tv": {"s": 0.8, "c": 0.9}},
+        {"id": 4, "kind": "edge", "type": "implies", "targets": [1, 2], "tv": {"s": 0.9, "c": 0.9}},
+    ]})
     tv, _ = backward_chain_tv(kb, ("A", "C"), budget=3, seed=1)
     checks["backchain 0.78"] = abs(tv.s - 0.78) < 1e-9
 

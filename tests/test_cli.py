@@ -272,6 +272,11 @@ class TestExitCodes:
          lambda d: d.update(rules=[5]), "rules.json: rules[0] must be an object"),
         (["cog", "chain", "--fixture", FIXTURES / "kb_two_hop.json", "--rules"], "rules.json",
          lambda d: d.update(rules=5), "rules.json: field 'rules' must be a list"),
+        # 0 == False and 1 == True, but neither is a flag
+        *((["cog", "chain", "--fixture", FIXTURES / "kb_two_hop.json", "--rules"], "rules.json",
+           lambda d, i=i, bad=bad: d["rules"][i].update(reversible=bad),
+           f"rules.json: rules[{i}] field 'reversible' must be true or false, got {bad!r}")
+          for i, bad in ((0, 0), (1, 1), (0, 0.0))),
         (["cofo", "run", "--fixture"], "cofo_two_hypotheses.json",
          lambda d: d.update(hypotheses=[5]), "cofo_two_hypotheses.json: hypotheses[0] must be an object"),
         (["cog", "cluster", "--fixture"], "points_two_pairs.json",
@@ -308,8 +313,8 @@ class TestExitCodes:
          "hypothesis 'mirror' has no value at domain point 3"),
         (lambda d: d["objective"].pop(), "objective has no value at domain point 4"),
         (lambda d: d["domain"].append([2, 1.0]), "domain repeats a point"),
-        (lambda d: d.update(tol=float("nan")), "tol must be >= 0"),
-        (lambda d: d.update(tol="x"), "malformed problem ('>=' not supported"),
+        (lambda d: d.update(tol=float("nan")), "field 'tol' must be a finite number, got nan"),
+        (lambda d: d.update(tol="x"), "field 'tol' must be a finite number, got 'x'"),
     ])
     def test_malformed_cofo_problem(self, tmp_path, edit, message, capsys):
         path = self.cofo_fixture(tmp_path, edit)
@@ -403,6 +408,9 @@ class TestExitCodes:
         (lambda d: d["atoms"][0].__setitem__("sti", float("nan")), "atom 0 sti nan is not a finite number"),
         (lambda d: d["atoms"][0].__setitem__("lti", float("inf")), "atom 0 lti inf is not a finite number"),
         (lambda d: d["atoms"][0].__setitem__("sti", True), "atom 0 sti True is not a finite number"),
+        *((lambda d, tv=tv: d["atoms"][0].__setitem__("tv", tv),
+           f"atom 0 tv {tv!r} does not hold two numbers")
+          for tv in ({"s": True, "c": 0.5}, {"s": 0.5, "c": False}, {"s": False, "c": 0.0})),
     ])
     def test_malformed_metagraph_entry(self, tmp_path, command, edit, message, capsys):
         data = json.loads((FIXTURES / "kb_social.json").read_text())
@@ -449,10 +457,37 @@ class TestExitCodes:
                           ["compare"])),
         (["cofo", "run", "--fixture"], "cofo_two_hypotheses.json",
          lambda d: d["objective"][0].__setitem__(1, None),
-         "objective value at domain point 1 is not a finite number"),
+         "objective[0] must be an [x, y] pair of finite numbers, got [1, None]"),
         (["cofo", "run", "--fixture"], "cofo_two_hypotheses.json",
          lambda d: d["hypotheses"][0]["table"][1].__setitem__(1, []),
-         "hypothesis 'identity' value at domain point 2 is not a finite number"),
+         "hypotheses[0] table[1] must be an [x, y] pair of finite numbers, got [2, []]"),
+        *((["cofo", "run", "--fixture"], "cofo_two_hypotheses.json", edit,
+           f"cofo_two_hypotheses.json: {message}")
+          for bad in (True, False, float("nan"), float("inf"), float("-inf"))
+          for edit, message in [
+              (lambda d, bad=bad: d["domain"][1].__setitem__(1, bad),
+               f"domain[1] must be an [x, y] pair of finite numbers, got [2, {bad!r}]"),
+              (lambda d, bad=bad: d["hypotheses"][1].update(prior=bad),
+               "hypotheses[1] must be an object holding a string 'name', a finite number "
+               f"'prior' and a list 'table', got {{'name': 'mirror', 'prior': {bad!r}, "),
+          ]),
+        *((["cofo", "run", "--fixture"], "cofo_two_hypotheses.json", edit, message)
+          for bad in (True, False) for edit, message in [
+              # true == 1, yet true is no point
+              (lambda d, bad=bad: d["domain"][0].__setitem__(0, bad),
+               f"domain[0] must be an [x, y] pair of finite numbers, got [{bad!r}, 1.0]"),
+              (lambda d, bad=bad: d["objective"][0].__setitem__(0, bad),
+               f"objective[0] must be an [x, y] pair of finite numbers, got [{bad!r}, 1.0]"),
+              (lambda d, bad=bad: d["hypotheses"][0]["table"][0].__setitem__(0, bad),
+               f"hypotheses[0] table[0] must be an [x, y] pair of finite numbers, got [{bad!r}, 1.0]"),
+          ]),
+        (["cofo", "run", "--fixture"], "cofo_two_hypotheses.json",
+         lambda d: d["domain"][2].__setitem__(1, -0.5),
+         "malformed problem (domain weights must be >= 0, with a positive, finite sum)"),
+        # finite priors whose sum is no finite number
+        (["cofo", "run", "--fixture"], "cofo_two_hypotheses.json",
+         lambda d: [h.update(prior=1e308) for h in d["hypotheses"]],
+         "malformed problem (hypothesis priors must be positive, with a finite sum)"),
         *((["subpattern", command, "--fixture"], fixture, edit,
            "field 'items' must hold strings, finite numbers or lists of finite numbers")
           for command in ("audit", "dag") for fixture, edit in [
@@ -560,6 +595,64 @@ class TestSingleValueMutations:
             else:
                 assert code in (0, 1, 2), (where, value)
         assert crashes == []
+
+
+# one command that reads each shipped fixture, as in `READING_FORMS`
+FIXTURE_READERS = {
+    "gd1.json": ["dds", "solve", "--fixture"],
+    "cofo_two_hypotheses.json": ["cofo", "run", "--fixture"],
+    "kb_two_hop.json": ["cog", "chain", "--fixture"],
+    "kb_social.json": ["cog", "ecan", "--fixture"],
+    "rules.json": ["cog", "chain", "--fixture", FIXTURES / "kb_two_hop.json", "--rules"],
+    "points_two_pairs.json": ["cog", "cluster", "--fixture"],
+    **{f"subpattern_{name}.json": ["subpattern", "audit", "--fixture"]
+       for name in ("doubling", "maxmin", "union")},
+}
+NOT_NUMBERS = [True, False, float("nan"), float("inf"), float("-inf")]
+NOT_FLAGS = [0, 1, 0.0]
+
+
+def number_and_flag_mutations(data):
+    """(where, value, copy of `data`) for every number in `data`, at any
+    depth, replaced by each of `NOT_NUMBERS`, and every flag by each of
+    `NOT_FLAGS`."""
+    stack = [()]
+    while stack:
+        where = stack.pop()
+        node = data
+        for key in where:
+            node = node[key]
+        if isinstance(node, (dict, list)):
+            stack.extend(where + (k,) for k in (node if isinstance(node, dict)
+                                                 else range(len(node))))
+            continue
+        for value in (NOT_FLAGS if type(node) is bool
+                      else NOT_NUMBERS if type(node) in (int, float) else ()):
+            mutated = json.loads(json.dumps(data))
+            holder = mutated
+            for key in where[:-1]:
+                holder = holder[key]
+            holder[where[-1]] = value
+            yield where, value, mutated
+
+
+class TestNumbersAndFlags:
+    @pytest.mark.parametrize("fixture", sorted(FIXTURE_READERS))
+    def test_every_number_and_flag_replaced_exits_2(self, tmp_path, fixture):
+        """A number of a shipped fixture replaced by true, false, nan or
+        +-infinity, or a flag by 0, 1 or 0.0, is a fixture error."""
+        path = tmp_path / fixture
+        wrong = []
+        for where, value, mutated in number_and_flag_mutations(
+                json.loads((FIXTURES / fixture).read_text())):
+            path.write_text(json.dumps(mutated))
+            try:
+                code = run(*FIXTURE_READERS[fixture], path, "--out", tmp_path / "out")
+            except Exception as exc:
+                code = repr(exc)
+            if code != 2:
+                wrong.append(f"{list(where)} = {value!r}: {code}")
+        assert wrong == []
 
 
 class TestDdsCommands:

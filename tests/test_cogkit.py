@@ -21,11 +21,9 @@ from cogpat.cogkit import (
     cwig,
     deduction,
     deduction_rule,
-    disj,
     ecan_run,
     evolve,
     forward_chain,
-    implication_kb,
     inversion,
     inversion_rule,
     logical_entropy,
@@ -161,6 +159,22 @@ class TestDigamma:
         assert _digamma(float(n)) == pytest.approx(
             -self.EULER_GAMMA + harmonic, abs=1e-11
         )
+
+
+def implication_kb(nodes: dict, edges: list) -> TypedMetagraph:
+    """A kb: `nodes` maps concept name to (s, c), `edges` lists (src, dst,
+    s, c) implications."""
+    ids = {name: i for i, name in enumerate(nodes)}
+    atoms = [{"id": i, "kind": "node", "type": name, "tv": {"s": s, "c": c}}
+             for i, (name, (s, c)) in enumerate(nodes.items())]
+    atoms += [{"id": len(ids) + j, "kind": "edge", "type": "implies",
+               "targets": [ids[a], ids[b]], "tv": {"s": s, "c": c}}
+              for j, (a, b, s, c) in enumerate(edges)]
+    return TypedMetagraph.from_dict({"atoms": atoms})
+
+
+def disj(*clauses) -> Pattern:
+    return Pattern("disj", frozenset(clauses))
 
 
 def two_hop_kb():

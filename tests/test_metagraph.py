@@ -6,7 +6,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cogpat import fixtures
 from cogpat.fixtures import FixtureError, load_metagraph
@@ -970,6 +970,44 @@ class TestDecoderReference:
         got, want = decode_json(text), reference_decode_json(text)
         assert repr(got) == repr(want)
         assert [type(a) for a in got["atoms"]] == [type(a) for a in want["atoms"]]
+
+
+# atom objects whose targets name declared slots, so that the dict path
+# judges the object alone; the probe values (less the targets [1, 2], which
+# name atoms), false, and more target lists
+SLOT_ATOMS = [
+    {"id": 0, "kind": "node", "type": "A"},
+    {"id": 3, "kind": "node", "type": "", "targets": [], "tv": {"s": 1, "c": 0}, "sti": -2.5,
+     "lti": 1e300},
+    {"id": 2, "kind": "edge", "type": "E", "targets": [-1, -2], "tv": {"s": 0.5, "c": 0.25}},
+]
+SLOT_VALUES = [v for v in PROBE_VALUES if v != [1, 2]] + [False, "", [-2], [-1, True]]
+TWO_SLOTS = [{"type": "S"}, {"type": "S"}]
+
+
+@st.composite
+def slot_atom_objects(draw):
+    obj = copy.deepcopy(draw(st.sampled_from(SLOT_ATOMS)))
+    for field in draw(st.lists(st.sampled_from(ATOM_FIELDS), max_size=3)):
+        edit_field(obj, field, draw(st.sampled_from(["absent", *SLOT_VALUES])))
+    return obj
+
+
+class TestDecodePathsAgree:
+    @settings(max_examples=300, deadline=None)
+    @given(obj=slot_atom_objects())
+    @example(obj={"id": 0, "kind": "node", "type": "A", "tv": {"s": True, "c": 0.5}})
+    @example(obj={"id": 0, "kind": "node", "type": "A", "targets": ""})
+    def test_hook_builds_an_atom_exactly_when_the_dict_path_accepts(self, obj):
+        text = json.dumps({"dangling": TWO_SLOTS, "atoms": [obj]})
+        built = type(decode_json(text)["atoms"][0]) is Atom
+        try:
+            TypedMetagraph.from_dict(json.loads(text))
+        except Exception:
+            accepted = False
+        else:
+            accepted = True
+        assert built == accepted
 
 
 JSON_KEYS = st.sampled_from(["atoms", "dangling", "id", "kind", "type", "targets", "tv", "sti",

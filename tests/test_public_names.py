@@ -63,8 +63,6 @@ ALLOWED = {
              "cofo.info_gain", "cogkit.mine.pattern_surprisingness", "dds.evaluate_policy",
              "dds.policy_from", "metagraph.canonical_form", "metagraph.join",
              "metagraph.submetagraph", "morphisms.chrono"),
-    **_names("library API that only tests call; D16 removes it with its tests",
-             "cogkit.chain.implication_kb", "cogkit.mine.disj", "relalg.meet"),
     **_names("alias of futu_unfold(_run) that perfbench traces; D16 drops it with D1",
              "morphisms.unfold", "morphisms.unfold_run"),
     **_names("test oracle: problem generator for the dds and relalg suites",

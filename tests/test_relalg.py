@@ -22,7 +22,6 @@ from cogpat.relalg import (
     is_transitive,
     lfp_dp,
     list_functor,
-    meet,
     monotone_check,
     random_dp_instance,
     random_functional,
@@ -74,16 +73,15 @@ class TestCoreOps:
         with pytest.raises(CarrierMismatchError):
             compose(r, r)
         with pytest.raises(CarrierMismatchError):
-            meet(r, converse(r))
+            union(r, converse(r))
 
     def test_registry_validates_pairs(self):
         with pytest.raises(CarrierMismatchError):
             ABC.rel("A", "B", [("a", 99)])
 
-    def test_meet_union_dom(self):
+    def test_union_dom(self):
         r1 = ABC.rel("A", "B", {("a", 1), ("b", 2)})
         r2 = ABC.rel("A", "B", {("a", 1), ("c", 3)})
-        assert meet(r1, r2).pairs == {("a", 1)}
         assert union(r1, r2).pairs == {("a", 1), ("b", 2), ("c", 3)}
         assert r1.dom() == {"a", "b"}
         assert r1.ran() == {1, 2}
@@ -161,7 +159,6 @@ class TestRelEval:
     def test_expression_forms(self):
         s = ABC.rel("A", "B", {("a", 1), ("b", 2)})
         assert subset(s, full(ABC, "A", "B")) is True
-        assert meet(s, empty(ABC, "A", "B")).pairs == frozenset()
         assert union(s, s) == s
         assert identity(ABC, "B").pairs == {(1, 1), (2, 2), (3, 3)}
 
@@ -610,7 +607,6 @@ class TestFastPathOracles:
         same = rel("P", "Q", sorted(p1, key=repr)[::-1])
         assert isinstance(r1, FinRel) and r1 == same and hash(r1) == hash(same)
         assert converse(r1) == rel("Q", "P", {(y, x) for x, y in p1})
-        assert meet(r1, r2) == rel("P", "Q", p1 & p2)
         assert union(r1, r2) == rel("P", "Q", p1 | p2)
         assert subset(r1, r2) == (p1 <= p2)
         assert residual(r1, rr) == rel("P", "R", ref_residual(ps, carriers.get("R"), p1, pr))

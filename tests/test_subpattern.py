@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from cogpat.cogkit import conj, disj
+from cogpat.cogkit import Pattern, conj
 from cogpat.cogkit.cluster import _merge, partition_quality
 from cogpat.subpattern import (
     SimplicityMeasure,
@@ -45,8 +45,8 @@ class TestMutualAssociativity:
             conj(("a", ("X", "Y"))),
             conj(("b", ("Y", "Z"))),
             conj(("c", ("X", "Z"))),
-            disj(("a", ("X", "Y"))),
-            disj(("b", ("X", "Y"))),
+            Pattern("disj", frozenset({("a", ("X", "Y"))})),
+            Pattern("disj", frozenset({("b", ("X", "Y"))})),
         ]
         ops = {"and_or": lambda p, q: p.combine(q)}
         # Pattern is a frozen dataclass over a frozenset, so == is structural
