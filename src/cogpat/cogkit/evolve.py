@@ -17,12 +17,12 @@ class EvolveResult:
     evaluations: int
 
 
-def point_mutation(rate: float, alphabet=(0, 1)):
+def point_mutation(rate: float):
     def op(rng: random.Random, g: tuple) -> tuple:
         out = list(g)
         for i in range(len(out)):
             if rng.random() < rate:
-                out[i] = rng.choice([a for a in alphabet if a != out[i]])
+                out[i] = rng.choice([1 - out[i]])  # a bit flip; the draw keeps each seed's stream
         return tuple(out)
 
     return op

@@ -18,7 +18,7 @@ from typing import Any, Callable, Optional
 from .cofo import CofoError, CofoProblem, Hypothesis
 from .cogkit.chain import KbModel, Rule, deduction_rule, inversion_rule
 from .dds import DdsProblem
-from .metagraph import Atom, TypedMetagraph, decode_json, is_finite_number
+from .metagraph import Atom, MgError, TypedMetagraph, decode_json, is_finite_number
 from .subpattern import SimplicityMeasure, disjoint_union
 
 
@@ -142,7 +142,7 @@ def load_metagraph(path) -> TypedMetagraph:
     _entries(path, data, "dangling", _SLOT, [])
     try:
         return TypedMetagraph.from_dict(data)
-    except Exception as exc:
+    except MgError as exc:
         raise FixtureError(f"{path}: malformed metagraph ({exc})") from exc
 
 
@@ -189,6 +189,15 @@ COMBINATORS = {"left": lambda x, y: x, "right": lambda x, y: y, "min": min, "max
 _COMBINATOR = _one_of(COMBINATORS)
 
 
+def _table(path, name: str, pairs: list) -> dict:
+    """A table's [point, value] `pairs` as a dict, once no point is listed twice."""
+    if len(table := dict(pairs)) < len(pairs):
+        seen = set()
+        x = next(x for x, _ in pairs if x in seen or seen.add(x))
+        raise FixtureError(f"{path}: {name} lists point {x!r} twice")
+    return table
+
+
 def load_cofo(path) -> CofoProblem:
     """A cofo problem; every point, weight, prior and value a finite number."""
     data = load_json(path)
@@ -200,8 +209,9 @@ def load_cofo(path) -> CofoProblem:
     try:
         return CofoProblem(
             domain=data["domain"],
-            objective=dict(data["objective"]),
-            hypotheses=[Hypothesis(h["name"], dict(h["table"]), h["prior"]) for h in hyps],
+            objective=_table(path, "objective", data["objective"]),
+            hypotheses=[Hypothesis(h["name"], _table(path, f"hypotheses[{i}] table", h["table"]),
+                                   h["prior"]) for i, h in enumerate(hyps)],
             rho=_field(path, data, "rho", _NUMBER),
             combinators={n: COMBINATORS[n] for n in names},
             tol=_field(path, data, "tol", _NUMBER, 0.0),

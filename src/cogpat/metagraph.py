@@ -4,12 +4,14 @@ Atoms are immutable tuples, nodes or edges; edge targets are ordered and
 may reference both nodes and other edges.  A metagraph may carry declared
 dangling target slots, which are bound to concrete atoms by `join`.
 Mutation is single-writer and bumps a version counter; `snapshot` hands out
-immutable views that higher layers fold over.  `from_dict`, `join`,
-`submetagraph` and the unfolds build through one bulk copy path.  `join`
-shares the right operand's atoms instead when the copy would give each one
-the id and targets it has: its ids are 0..n-1 and its slots keep their
-numbers.  The unfolds emit a piece from a template built once per (piece
-version, port label) and cached on the piece.
+immutable views that higher layers fold over.  `join`, `submetagraph` and
+the unfolds build through one bulk copy path.  `join` shares the right
+operand's atoms instead when the copy would give each one the id and
+targets it has: its ids are 0..n-1 and its slots keep their numbers.  The
+unfolds emit a piece from a template built once per (piece version, port
+label) and cached on the piece.  `_atom`, the atom rule, states once what a
+well-formed atom is: the JSON decoder, `from_dict` and the mutation API
+build every atom through it.
 
 `decode_json` parses metagraph JSON with an object hook that turns each
 well-formed atom object into its final `Atom` as soon as it is parsed, so
@@ -17,8 +19,8 @@ the object's dict and target list die at once instead of living through
 the whole parse (and through the full collections that many promoted
 containers set off).  The hook never raises: any other object comes back
 unchanged.  If some object was not a well-formed atom entry of the
-top-level `atoms` list, the text is parsed again as plain dicts, and the
-dict path of `from_dict`, which accepts the same atoms, reports it.
+top-level `atoms` list, the text is parsed again as plain dicts, and
+`from_dict` reports the entry's fault.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional
 
 
@@ -35,8 +38,9 @@ class MgError(Exception):
     """Base class for metagraph errors."""
 
 
-class MgIntegrityError(MgError):
-    """A target id does not resolve and is not a declared dangling slot."""
+class MgIntegrityError(MgError, ValueError):
+    """An atom or slot breaks the atom rule, or a target names no atom and no
+    declared slot; a `ValueError`, as `Atom`'s kind and targets errors are."""
 
 
 class MgTypeError(MgError):
@@ -159,16 +163,6 @@ def ref_slot(target: int) -> int:
     return -target - 1
 
 
-def _entry_id(entry: "Atom | Mapping[str, Any]") -> int:
-    """A serialized atom's id, or a decoded `Atom`'s; a negative one would
-    read as a slot."""
-    if type(entry) is Atom:
-        return entry.id
-    if type(entry["id"]) is not int or entry["id"] < 0:
-        raise MgIntegrityError(f"atom id {entry['id']!r} is not a non-negative integer")
-    return entry["id"]
-
-
 def is_finite_number(x: Any) -> bool:
     """A finite float, or an int that a float can hold; JSON's true and
     false are not numbers here.  (A finite float less itself is 0.0; inf or
@@ -176,18 +170,72 @@ def is_finite_number(x: Any) -> bool:
     return type(x) is float and x - x == 0.0 or type(x) is int and abs(x) <= sys.float_info.max
 
 
-def _check_fields(a: Atom) -> Atom:
-    """`a`, once its label is a string, its sti and lti finite numbers and
-    its tv None or a `TruthValue` (`Atom` itself checks the kind and
-    targets)."""
-    if type(a.type_label) is not str:
-        raise MgIntegrityError(f"atom {a.id} type {a.type_label!r} is not a string")
-    if not (is_finite_number(a.sti) and is_finite_number(a.lti)):
-        name, value = ("lti", a.lti) if is_finite_number(a.sti) else ("sti", a.sti)
-        raise MgIntegrityError(f"atom {a.id} {name} {value!r} is not a finite number")
-    if a.tv is not None and type(a.tv) is not TruthValue:
-        raise MgIntegrityError(f"atom {a.id} tv {a.tv!r} is not a TruthValue")
-    return a
+_ABSENT = object()  # a serialized atom's missing tv
+_BIG = sys.float_info.max
+
+
+def _atom(i, kind, label, targets, tv, sti, lti, api=False) -> "Atom | str":
+    """The atom rule: the `Atom` these fields make, or the reason they make
+    none.  The id is an int >= 0; a node has no targets and an edge at
+    least one, in a list (or tuple) of ints; the label is a string; `sti`
+    and `lti` are finite numbers (`is_finite_number`, written out); the tv
+    is absent (`_ABSENT`) or an object of exactly two numbers that are not
+    bools, `s` in [0, 1] and `c` in [0, 1).  From the mutation API
+    (`api`), a tv of None is absent and any other is a `TruthValue`.
+    Whether a target resolves is the store's to check (`_place`)."""
+    if type(i) is not int or i < 0:
+        return f"atom id {i!r} is not a non-negative integer"
+    if type(label) is not str:
+        return f"atom {i} type {label!r} is not a string"
+    if kind == EDGE and (type(targets) is list or type(targets) is tuple) and targets:
+        for t in targets:
+            if type(t) is not int:
+                return f"target {t!r} is not an integer"
+        # the module's kind strings, not one parsed copy per atom
+        kind, targets = EDGE, tuple(targets)
+    elif kind == NODE and (targets == () or targets == []):
+        kind, targets = NODE, ()
+    elif kind != NODE and kind != EDGE:
+        return f"unknown atom kind: {kind}"
+    elif type(targets) is not list and type(targets) is not tuple:
+        return f"atom {i} targets {targets!r} is not a list"
+    else:
+        return "node atoms cannot have targets" if kind == NODE else "edge atoms need at least one target"
+    if not ((type(sti) is float or type(sti) is int) and -_BIG <= sti <= _BIG
+            and (type(lti) is float or type(lti) is int) and -_BIG <= lti <= _BIG):
+        name, x = ("lti", lti) if is_finite_number(sti) else ("sti", sti)
+        return f"atom {i} {name} {x!r} is not a finite number"
+    if tv is _ABSENT or api and tv is None:
+        tv = None
+    elif api and type(tv) is not TruthValue:
+        return f"atom {i} tv {tv!r} is not a TruthValue"
+    else:
+        s, c = tv if api else ((tv.get("s"), tv.get("c")) if type(tv) is dict and len(tv) == 2
+                               else (None, None))
+        if not ((type(s) is float or type(s) is int) and 0.0 <= s <= 1.0
+                and (type(c) is float or type(c) is int) and 0.0 <= c < 1.0):
+            if not api:
+                try:
+                    TruthValue.from_dict(tv)  # its own reason for a tv it refuses
+                except (TypeError, ValueError) as exc:
+                    return str(exc)
+            return f"atom {i} tv {tv!r} does not hold two numbers"
+        tv = tv if api else _tuple_new(TruthValue, (s, c))
+    return _tuple_new(Atom, (i, kind, label, targets, tv, sti, lti))
+
+
+def _entry_atom(entry: Mapping[str, Any]) -> "Atom | str":
+    """The atom rule on a serialized atom entry; a missing id, kind or type
+    reads as None, which the rule refuses."""
+    return _atom(entry.get("id"), entry.get("kind"), entry.get("type"), entry.get("targets", ()),
+                 entry.get("tv", _ABSENT), entry.get("sti", 0.0), entry.get("lti", 0.0))
+
+
+def _checked(a: "Atom | str") -> Atom:
+    """What the atom rule made: the `Atom`, or its reason raised."""
+    if type(a) is Atom:
+        return a
+    raise MgIntegrityError(a)
 
 
 def _slot_type(slot: int, entry: Mapping[str, Any]) -> str:
@@ -201,45 +249,13 @@ def decode_json(text: str) -> Any:
     list comes back as its `Atom` when every one of them is a well-formed
     atom object (see the module docstring)."""
     made: list[Atom] = []
-    big, absent = sys.float_info.max, object()
 
     def atom(obj: dict) -> Any:
-        # a missing field reads as None, which no check below accepts; the
-        # number checks are `is_finite_number`'s, written out
-        label = obj.get("type")
-        if type(label) is not str:
+        if "id" not in obj:  # a tv, a slot or the top level: no atom
             return obj
-        i = obj.get("id")
-        if type(i) is not int or i < 0:
+        a = _entry_atom(obj)
+        if type(a) is not Atom:
             return obj
-        kind, targets = obj.get("kind"), obj.get("targets", ())
-        if kind == EDGE and type(targets) is list and targets:
-            for t in targets:
-                if type(t) is not int:
-                    return obj
-            # the module's kind strings, not one parsed copy per atom
-            kind, targets = EDGE, tuple(targets)
-        elif kind == NODE and (targets == () or targets == []):
-            kind, targets = NODE, ()
-        else:
-            return obj
-        sti, lti = obj.get("sti", 0.0), obj.get("lti", 0.0)
-        if not ((type(sti) is float or type(sti) is int) and -big <= sti <= big
-                and (type(lti) is float or type(lti) is int) and -big <= lti <= big):
-            return obj
-        tv = obj.get("tv", absent)
-        if tv is absent:
-            tv = None
-        elif type(tv) is dict and len(tv) == 2:
-            # what TruthValue(**tv) builds, for exactly s and c given as numbers
-            s, c = tv.get("s"), tv.get("c")
-            if not ((type(s) is float or type(s) is int) and 0.0 <= s <= 1.0
-                    and (type(c) is float or type(c) is int) and 0.0 <= c < 1.0):
-                return obj
-            tv = _tuple_new(TruthValue, (s, c))
-        else:
-            return obj
-        a = _tuple_new(Atom, (i, kind, label, targets, tv, sti, lti))
         made.append(a)
         return a
 
@@ -341,29 +357,29 @@ class TypedMetagraph(_MgBase):
         self._bump()
         return slot
 
-    def add_atom(
-        self,
-        kind: str,
-        type_label: str,
-        targets: Iterable[int] = (),
-        tv: Optional[TruthValue] = None,
-        sti: float = 0.0,
-        lti: float = 0.0,
-    ) -> int:
-        targets = tuple(targets)
-        for t in targets:
-            if t >= 0:
-                if t not in self.atoms:
-                    raise MgIntegrityError(f"target {t} not present")
-            else:
-                slot = ref_slot(t)
-                if slot >= len(self.dangling):
-                    raise MgIntegrityError(f"dangling slot {slot} not declared")
+    def add_atom(self, kind: str, type_label: str, targets: Iterable[int] = (),
+                 tv: Optional[TruthValue] = None, sti: float = 0.0, lti: float = 0.0) -> int:
         atom_id = self._next_id
-        self.atoms[atom_id] = _check_fields(Atom(atom_id, kind, type_label, targets, tv, sti, lti))
-        self._next_id += 1
+        self._place((_checked(_atom(atom_id, kind, type_label, tuple(targets), tv, sti, lti, api=True)),))
         self._bump()
         return atom_id
+
+    def _place(self, atoms: Iterable[Atom]) -> None:
+        """Store each atom in turn under its id, once the id is new and each
+        target a stored atom or a declared slot (a lower id, when ids
+        ascend); the next id follows the last one stored."""
+        store, n_slots = self.atoms, len(self.dangling)
+        for a in atoms:
+            if a.id in store:
+                raise MgIntegrityError(f"duplicate atom id {a.id}")
+            for t in a.targets:
+                if t >= 0:
+                    if t not in store:
+                        raise MgIntegrityError(f"target {t} not present")
+                elif ref_slot(t) >= n_slots:
+                    raise MgIntegrityError(f"dangling slot {ref_slot(t)} not declared")
+            store[a.id] = a
+            self._next_id = a.id + 1
 
     def add_node(self, type_label: str, **kw) -> int:
         return self.add_atom(NODE, type_label, **kw)
@@ -372,11 +388,11 @@ class TypedMetagraph(_MgBase):
         return self.add_atom(EDGE, type_label, targets, **kw)
 
     def set_tv(self, atom_id: int, tv: TruthValue) -> None:
-        self.atoms[atom_id] = _check_fields(self.atoms[atom_id]._replace(tv=tv))
+        self.atoms[atom_id] = _checked(_atom(*self.atoms[atom_id]._replace(tv=tv), api=True))
         self._bump()
 
     def set_sti(self, atom_id: int, sti: float) -> None:
-        self.atoms[atom_id] = _check_fields(self.atoms[atom_id]._replace(sti=sti))
+        self.atoms[atom_id] = _checked(_atom(*self.atoms[atom_id]._replace(sti=sti), api=True))
         self._bump()
 
     # -- views --------------------------------------------------------------
@@ -394,43 +410,16 @@ class TypedMetagraph(_MgBase):
 
     @staticmethod
     def from_dict(d: Mapping[str, Any]) -> "TypedMetagraph":
-        """Load in one pass over ascending ids, keeping each atom's id; a
-        target must be a lower id or a declared slot, as `add_atom` asks.
-        An entry that is already an `Atom` (as `decode_json` gives) is kept
-        as it is once its id and targets pass those checks."""
+        """Load in one pass over ascending ids, keeping each atom's id.  The
+        atom rule makes each plain dict entry an atom (a decoded `Atom` has
+        passed it already), and each is placed as `add_atom` places one:
+        its targets lower ids or declared slots."""
         mg = TypedMetagraph()
         mg.dangling = tuple(DanglingSlot(k, _slot_type(k, s)) for k, s in enumerate(d.get("dangling", ())))
-        n_slots, atoms, last = len(mg.dangling), mg.atoms, -1
-        for e in sorted(d.get("atoms", ()), key=_entry_id):
-            decoded = type(e) is Atom
-            i = e.id if decoded else e["id"]
-            if i == last:
-                raise MgIntegrityError(f"duplicate atom id {i}")
-            if decoded:
-                targets = e.targets
-            else:
-                tv = TruthValue.from_dict(e["tv"]) if "tv" in e else None
-                # as `decode_json` asks: a tv of two numbers, targets a list
-                if tv is not None and not (is_finite_number(tv.s) and is_finite_number(tv.c)):
-                    raise MgIntegrityError(f"atom {i} tv {e['tv']!r} does not hold two numbers")
-                targets = e.get("targets", [])
-                if type(targets) is not list:
-                    raise MgIntegrityError(f"atom {i} targets {targets!r} is not a list")
-            for t in targets:
-                if type(t) is not int:
-                    raise MgIntegrityError(f"target {t!r} is not an integer")
-                if t >= 0:
-                    if t not in atoms:
-                        raise MgIntegrityError(f"target {t} not present")
-                elif ref_slot(t) >= n_slots:
-                    raise MgIntegrityError(f"dangling slot {ref_slot(t)} not declared")
-            if not decoded:
-                e = Atom(i, e["kind"], e["type"], tuple(targets), tv, e.get("sti", 0.0), e.get("lti", 0.0))
-                _check_fields(e)
-            atoms[i] = e
-            last = i
-        mg._next_id = last + 1
-        mg.version = 1 if atoms or n_slots else 0
+        atoms = [e if type(e) is Atom else _checked(_entry_atom(e)) for e in d.get("atoms", ())]
+        atoms.sort(key=itemgetter(0))  # by id
+        mg._place(atoms)
+        mg.version = 1 if atoms or mg.dangling else 0
         return mg
 
     @staticmethod

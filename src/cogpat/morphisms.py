@@ -82,7 +82,7 @@ def order_atoms(view: MgView, order) -> list[int]:
     ids = sorted(view.atoms)
     # add_atom accepts only targets already present and from_dict inserts in
     # id order, so every target id is below its edge's: id order is topological
-    if order in ("insertion", "topological"):
+    if order == "insertion":
         return ids
     if isinstance(order, tuple) and order[0] == "random":
         rng = random.Random(order[1])

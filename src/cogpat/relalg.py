@@ -431,13 +431,13 @@ def dp_spec_relation(s: FinRel, t: FinRel, r: FinRel, f: FunctorSpec, carriers: 
     return shrink(compose(converse(rel_fold(t, f, carriers)), rel_fold(s, f, carriers)), r)
 
 
-def verify_dp_theorem(s: FinRel, t: FinRel, r: FinRel, f: FunctorSpec, carriers: Carriers, cap: int = 100) -> DpReport:
+def verify_dp_theorem(s: FinRel, t: FinRel, r: FinRel, f: FunctorSpec, carriers: Carriers) -> DpReport:
     # the dp theorem's monotonicity is oriented opposite to the greedy one
     mono, _ = monotone_check(s, converse(r), f, carriers)
     m = dp_spec_relation(s, t, r, f, carriers)
     lifted_m = f.lift(carriers, m)
     dom_ok = t.dom() <= compose(lifted_m, s).dom()
-    res = lfp_dp(s, t, r, f, carriers, cap)
+    res = lfp_dp(s, t, r, f, carriers)
     bad = _least_excess(res.rel, m)
     return DpReport(mono, dom_ok, res.converged, bad is None, bad)
 

@@ -313,6 +313,11 @@ class TestExitCodes:
          "hypothesis 'mirror' has no value at domain point 3"),
         (lambda d: d["objective"].pop(), "objective has no value at domain point 4"),
         (lambda d: d["domain"].append([2, 1.0]), "domain repeats a point"),
+        # a table point listed twice: no later value silently wins
+        (lambda d: d["objective"].append([2, 7.0]), "cofo.json: objective lists point 2 twice"),
+        (lambda d: d["objective"].insert(0, [4.0, 4.0]), "cofo.json: objective lists point 4 twice"),
+        (lambda d: d["hypotheses"][1]["table"].append([3, 0.0]),
+         "cofo.json: hypotheses[1] table lists point 3 twice"),
         (lambda d: d.update(tol=float("nan")), "field 'tol' must be a finite number, got nan"),
         (lambda d: d.update(tol="x"), "field 'tol' must be a finite number, got 'x'"),
     ])

@@ -399,14 +399,20 @@ NAN, INF = float("nan"), float("inf")
 BAD_CALLS = [
     *(("add_node", [bad], {}) for bad in (5, None, ("A",))),
     ("add_edge", [5, [0]], {}),
+    # a target must be an int: 0.0 and false would alias atom 0, "0" names none
+    *(("add_edge", ["E", bad], {}) for bad in ([0.0], [0, False], ["0"], "0")),
     *(("add_node", ["N"], {"sti": bad}) for bad in (NAN, INF, -INF, True, "high", None)),
     *(("add_edge", ["E", [0]], {"lti": bad}) for bad in (NAN, False)),
     *(("add_node", ["N"], {"tv": bad}) for bad in ((0.5, 0.5), {"s": 0.5, "c": 0.5}, 0.5)),
+    # a TruthValue holds two numbers, and true and false are none
+    *(("add_node", ["N"], {"tv": bad}) for bad in (TruthValue(True, 0.5), TruthValue(0.5, False))),
     ("set_tv", [0, (0.5, 0.5)], {}),
+    ("set_tv", [0, TruthValue(False, 0.0)], {}),
     *(("set_sti", [0, bad], {}) for bad in (NAN, True, "high")),
 ]
 ANY_NUMBER = st.floats() | st.integers() | st.booleans() | st.none() | st.just("x")
-ANY_TV = (st.none() | st.builds(TruthValue, st.floats(0, 1), st.floats(0, 1, exclude_max=True))
+ANY_TV = (st.none() | st.builds(TruthValue, st.floats(0, 1) | st.booleans(),
+                                 st.floats(0, 1, exclude_max=True) | st.just(False))
           | st.tuples(st.floats(0, 1), st.floats(0, 1)) | ANY_NUMBER)
 
 
@@ -433,7 +439,8 @@ class TestMutationChecks:
                     mg.add_node(label, tv=data.draw(ANY_TV), sti=data.draw(ANY_NUMBER),
                                 lti=data.draw(ANY_NUMBER))
                 elif op == "edge":
-                    mg.add_edge(label, data.draw(st.lists(ids, min_size=1, max_size=3)),
+                    target = ids | ids.map(float) | ids.map(str) | st.booleans()
+                    mg.add_edge(label, data.draw(st.lists(target, min_size=1, max_size=3)),
                                 tv=data.draw(ANY_TV), sti=data.draw(ANY_NUMBER))
                 elif op == "tv":
                     mg.set_tv(data.draw(ids), data.draw(ANY_TV))

