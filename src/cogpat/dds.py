@@ -2,15 +2,18 @@
 
 A problem is staged: states per stage, feasible actions per (stage,
 state), immediate reward, and a transition distribution (deterministic
-transitions are point masses).  `from_tables` checks every transition of a
-tabulated problem once, at load.  One exact solver, `_solve`, unfolds the
-subproblem dag from the declared states and collapses it by the Bellman
-step in one `morphisms.memo_recurse` walk; `exact_dp`, `chrono_solve` and
-`stochastic_dp` run it with an exact or a sampled continuation.
-A cognitive algorithm declares its process once (start, actions, successor,
-reward), and two executors run that one declaration over the reachable
-states (`reachable_problem`, whose layers are built on first use): `plan`
-solves it exactly and replays the argmax, `greedy` follows immediate reward.
+transitions are point masses).  Decision tables are checked once, at load:
+`fixtures.load_dds` checks each value's shape, and `from_tables` what the
+tables hold together as it compiles them, so this module tests no value's
+type.  One exact solver, `_solve`, unfolds the subproblem dag from the
+declared states and collapses it by the Bellman step in one
+`morphisms.memo_recurse` walk; `exact_dp`, `chrono_solve` and
+`stochastic_dp` run it with an exact or a sampled continuation, and
+`greedy_run` and `evaluate_policy` share one rollout.  A cognitive
+algorithm declares its process once (start, actions, successor, reward),
+and two executors run that one declaration over the reachable states
+(`reachable_problem`, whose layers are built on first use): `plan` solves
+it exactly and `greedy` follows immediate reward, both in one replay.
 `plan` keeps the breadth-first layers, and the cofo adapter its action
 cache, rather than walking from the start: such a walk expands whole
 depth-first branches of dp chaining's states before it reaches that
@@ -29,11 +32,11 @@ from itertools import chain
 from operator import itemgetter
 from typing import Any, Callable, Collection, Mapping, Sequence
 
-from .metagraph import is_finite_number
 from .morphisms import memo_recurse
 
 NEG_INF = float("-inf")
 _PROB_TOL = 1e-9
+_EMPTY: dict = {}  # read only: no action, or no `next`
 
 
 class DdsError(Exception):
@@ -60,7 +63,7 @@ class TransitionError(DdsError):
 class DdsProblem:
     n: int
     states: Callable[[int], Sequence]
-    actions: Callable[[int, Any], Sequence]
+    actions: Callable[[int, Any], Collection]
     reward: Callable[[int, Any, Any], float]
     transition: Callable[[int, Any, Any], Collection[tuple[Any, float]]]
     alpha: float = 1.0
@@ -72,67 +75,47 @@ class DdsProblem:
 
     @staticmethod
     def from_tables(spec: Mapping) -> "DdsProblem":
-        """Build a problem from the tabulated JSON fixture layout.  Raises
-        DdsError unless stages is an integer from 1 to the number of stages
-        that declare states (so no solver loops past the table), stage 1
-        declares a state, state and action names are strings, no stage lists
-        a state twice and no state an action name twice, rewards and alpha
-        are finite numbers, and each `next` maps names to finite numbers
-        >= 0.  Before the last stage each `next` must sum to 1 (else
-        TransitionError) over states the next stage declares, so the
-        solvers take every transition as given."""
+        """Compile the tabulated JSON fixture layout, its shapes checked by
+        `fixtures.load_dds`, in one pass that checks what the tables hold
+        together (each a DdsError): stages is at most the number of stages
+        that declare states, stage 1 declares a state, no name is listed
+        twice at its stage or state, and before the last stage each `next`
+        sums to 1 (else TransitionError) over the next stage's states.
+        Stages past `stages` are never read.  Each action keeps its reward as
+        a float and its `next`, whose items are its transitions."""
         n = spec["stages"]
-        states = {int(t): v for t, v in spec["states"].items()}
-        if type(n) is not int or not 1 <= n <= len(states):
-            raise DdsError(f"stages must be an integer from 1 to {len(states)}, the number of "
-                           f"stages that declare states, got {n!r}")
+        if n > len(spec["states"]):
+            raise DdsError(f"stages must be an integer from 1 to {len(spec['states'])}, the number "
+                           f"of stages that declare states, got {n!r}")
+        states = {t: spec["states"].get(str(t), []) for t in range(1, n + 1)}
         for t, names in states.items():
-            if type(names) is not list or not all(type(s) is str for s in names):
-                raise DdsError(f"stage {t} states must be a list of names, got {names!r}")
             if len(set(names)) < len(names):
                 twice = next(s for s in names if names.count(s) > 1)
                 raise DdsError(f"stage {t} lists state {twice!r} twice")
-        if not states.get(1):
+        if not states[1]:
             raise DdsError("stage 1 declares no state")
-        alpha = spec.get("alpha", 1.0)
-        if not is_finite_number(alpha):
-            raise DdsError(f"alpha must be a finite number, got {alpha!r}")
-        acts: dict[tuple[int, Any], list] = {}
-        info: dict[tuple[int, Any], dict] = {}  # (stage, state) -> action name -> action
-        nexts: dict[int, list] = {}  # stage -> the `next` of each of its actions
-        rewards = []
-        for t_str, per_state in spec["actions"].items():
-            t = int(t_str)
-            stage_nexts = nexts.setdefault(t, [])
-            for s, actions in per_state.items():
-                names = acts[(t, s)] = []
+        rewards, moves = {}, {}  # stage -> state -> action name -> reward, or its `next`
+        for t in range(1, n + 1):
+            rewards[t], moves[t], stage_nexts = {}, {}, []
+            for s, actions in spec["actions"].get(str(t), {}).items():
+                rewards[t][s] = reward_of = {}
+                moves[t][s] = next_of = {}
                 for a in actions:
-                    x, nxt = a["name"], a.get("next", {})
-                    if type(x) is not str or type(nxt) is not dict:
-                        raise DdsError(f"action {x!r} at stage {t}, state {s!r}: its name "
-                                       "must be a string and its next an object")
-                    names.append(x)
-                    rewards.append(a["reward"])
-                    stage_nexts.append(nxt)
-                info[(t, s)] = by_name = dict(zip(names, actions))
-                if len(by_name) < len(names):
+                    x = a["name"]
+                    reward_of[x] = float(a["reward"])
+                    next_of[x] = a.get("next", _EMPTY)
+                if len(reward_of) < len(actions):
+                    names = [a["name"] for a in actions]
                     twice = next(x for x in names if names.count(x) > 1)
                     raise DdsError(f"stage {t}, state {s!r} lists action {twice!r} twice")
-        bad = [r for r in rewards if not is_finite_number(r)]
-        if bad:
-            raise DdsError(f"reward {bad[0]!r} is not a finite number")
-        bad = [pr for stage_nexts in nexts.values() for nxt in stage_nexts for pr in nxt.values()
-               if not (is_finite_number(pr) and pr >= 0)]
-        if bad:
-            raise DdsError(f"probability {bad[0]!r} is not a finite number >= 0")
-        for t, stage_nexts in nexts.items():
-            if t >= n or not stage_nexts:
+                stage_nexts += next_of.values()
+            if t == n or not stage_nexts:
                 continue
             totals = list(map(sum, map(dict.values, stage_nexts)))
             if max(totals) - 1.0 > _PROB_TOL or 1.0 - min(totals) > _PROB_TOL:
                 total = next(x for x in totals if abs(x - 1.0) > _PROB_TOL)
                 raise TransitionError(f"probabilities sum to {total} at t={t}")
-            declared = set(states.get(t + 1, ()))
+            declared = set(states[t + 1])
             if not declared.issuperset(chain.from_iterable(stage_nexts)):
                 s2 = next(s2 for nxt in stage_nexts for s2 in nxt if s2 not in declared)
                 raise DdsError(f"a transition at stage {t} names {s2!r}, "
@@ -141,10 +124,10 @@ class DdsProblem:
         return DdsProblem(
             n=n,
             states=lambda t: states.get(t, []),
-            actions=lambda t, s: acts.get((t, s), []),
-            reward=lambda t, s, x: float(info[(t, s)][x]["reward"]),
-            transition=lambda t, s, x: info[(t, s)][x].get("next", {}).items(),
-            alpha=float(alpha),
+            actions=lambda t, s: rewards.get(t, _EMPTY).get(s, _EMPTY).keys(),
+            reward=lambda t, s, x: rewards[t][s][x],
+            transition=lambda t, s, x: moves[t][s][x].items(),
+            alpha=float(spec.get("alpha", 1.0)),
         )
 
 
@@ -285,30 +268,33 @@ def stochastic_dp(p: DdsProblem, rollouts: int, seed: int, budget_cells: int = 1
     return _solve(p, budget_cells, sampled)
 
 
-def _draw_successor(p: DdsProblem, t, s, x, rng: random.Random):
-    """The successor of (t, s) under x: a point mass's only state, else one
-    `rng.choices` draw by transition probability."""
-    succ, probs = zip(*p.transition(t, s, x))
-    return succ[0] if len(succ) == 1 else rng.choices(succ, weights=probs, k=1)[0]
+def _rollout(p: DdsProblem, s, choose, rng: random.Random | None):
+    """The steps (state, action, reward) of one run from `s`: `choose(t, s)`
+    gives each action and its reward; the successor is a point mass's only
+    state, else one `rng.choices` draw (none where all are point masses)."""
+    for t in range(1, p.n + 1):
+        x, r = choose(t, s)
+        yield s, x, r
+        if t < p.n:
+            succ, probs = zip(*p.transition(t, s, x))
+            s = succ[0] if len(succ) == 1 else rng.choices(succ, weights=probs, k=1)[0]
+
+
+def _greedy_step(p: DdsProblem, t, s):
+    """The action of highest reward (ties to the lowest key), and its reward."""
+    acts = p.sorted_actions(t, s)
+    if not acts:
+        raise DeadEndError(f"no feasible action at stage {t}, state {s!r}")
+    rewards = [p.reward(t, s, x) for x in acts]
+    i = rewards.index(max(rewards))
+    return acts[i], rewards[i]
 
 
 def greedy_run(p: DdsProblem, s0, seed: int = 0) -> Trajectory:
     """Follow immediate reward only: argmax, ties to the lowest action key.
     `seed` draws the successors of stochastic transitions."""
-    rng = random.Random(seed)
-    s = s0
-    steps = []
-    for t in range(1, p.n + 1):
-        acts = p.sorted_actions(t, s)
-        if not acts:
-            raise DeadEndError(f"no feasible action at stage {t}, state {s!r}")
-        rewards = [p.reward(t, s, x) for x in acts]
-        i = rewards.index(max(rewards))
-        x = acts[i]
-        steps.append((s, x, rewards[i]))
-        if t < p.n:
-            s = _draw_successor(p, t, s, x, rng)
-    return Trajectory(steps, p.alpha)
+    steps = _rollout(p, s0, functools.partial(_greedy_step, p), random.Random(seed))
+    return Trajectory(list(steps), p.alpha)
 
 
 def evaluate_policy(p: DdsProblem, policy: Mapping, episodes: int, seed: int = 0):
@@ -317,19 +303,20 @@ def evaluate_policy(p: DdsProblem, policy: Mapping, episodes: int, seed: int = 0
     if episodes < 1:
         raise DdsError("episodes must be >= 1")
     rng = random.Random(seed)
+
+    def follow(t, s):
+        key = (t, p.state_key(s))
+        if key not in policy:
+            raise PolicyGapError(f"policy undefined at {key!r}")
+        return policy[key], p.reward(t, s, policy[key])
+
     totals = []
     for _ in range(episodes):
         first = p.states(1)
         s = first[0] if len(first) == 1 else rng.choice(list(first))
         total = 0.0
-        for t in range(1, p.n + 1):
-            key = (t, p.state_key(s))
-            if key not in policy:
-                raise PolicyGapError(f"policy undefined at {key!r}")
-            x = policy[key]
-            total += p.alpha ** (t - 1) * p.reward(t, s, x)
-            if t < p.n:
-                s = _draw_successor(p, t, s, x, rng)
+        for t, (_, _, r) in enumerate(_rollout(p, s, follow, rng)):
+            total += p.alpha ** t * r
         totals.append(total)
     mean = sum(totals) / episodes
     if episodes > 1:
@@ -377,30 +364,28 @@ def reachable_problem(start, horizon: int, actions, successor, reward,
     )
 
 
+def _replay(p: DdsProblem, start, choose, successor):
+    """The actions `choose` takes from `start` on a deterministic `p`, and where they end."""
+    taken, s = [], start
+    for s, x, _ in _rollout(p, start, choose, None):
+        taken.append(x)
+    return taken, successor(s, x) if taken else start
+
+
 def plan(start, horizon: int, actions, successor, reward, action_key=lambda a: a):
     """Solve `reachable_problem(...)` with exact_dp and replay the first
     argmax action from `start`.  Returns the actions taken and the state
     they end in."""
     p = reachable_problem(start, horizon, actions, successor, reward, action_key=action_key)
     vf = exact_dp(p)
-    taken, s = [], start
-    for t in range(1, horizon + 1):
-        x = vf.best_action(t, p.state_key(s))
-        taken.append(x)
-        s = successor(s, x)
-    return taken, s
+    return _replay(p, start, lambda t, s: (vf.best_action(t, p.state_key(s)), None), successor)
 
 
 def greedy(start, horizon: int, actions, successor, reward, action_key=lambda a: a):
-    """Run `greedy_run` over `reachable_problem(...)`: the declaration `plan`
-    solves, executed by immediate reward (ties to the lowest action key).
-    Returns the actions taken and the state they end in."""
+    """Run `greedy_run`'s step over `reachable_problem(...)`, the declaration
+    `plan` solves.  Returns the actions taken and the state they end in."""
     p = reachable_problem(start, horizon, actions, successor, reward, action_key=action_key)
-    steps = greedy_run(p, start).steps
-    if not steps:
-        return [], start
-    s, x, _ = steps[-1]
-    return [x for _, x, _ in steps], successor(s, x)
+    return _replay(p, start, functools.partial(_greedy_step, p), successor)
 
 
 def single_peak_audit(points, candidates, objective) -> bool:
@@ -426,32 +411,24 @@ def random_problem(seed: int, max_stages: int = 4, max_states: int = 5,
     rng = random.Random(seed)
     n = rng.randint(1, max_stages)
     states = {t: [f"s{t}_{i}" for i in range(rng.randint(1, max_states))] for t in range(1, n + 1)}
-    acts: dict[tuple[int, str], list[str]] = {}
-    rewards: dict[tuple[int, str, str], float] = {}
-    trans: dict[tuple[int, str, str], list[tuple[str, float]]] = {}
+    tables: dict = {"stages": n, "states": {str(t): v for t, v in states.items()}, "actions": {}}
     for t in range(1, n + 1):
+        tables["actions"][str(t)] = per_state = {}
         for s in states[t]:
-            names = [f"a{j}" for j in range(rng.randint(1, max_actions))]
-            acts[(t, s)] = names
-            for x in names:
-                rewards[(t, s, x)] = round(rng.uniform(-2, 5), 3)
+            per_state[s] = [{"name": f"a{j}"} for j in range(rng.randint(1, max_actions))]
+            for a in per_state[s]:
+                a["reward"] = round(rng.uniform(-2, 5), 3)
                 if t < n:
                     succ = states[t + 1]
                     if stochastic and len(succ) > 1 and rng.random() < 0.5:
                         chosen = rng.sample(succ, rng.randint(2, min(3, len(succ))))
                         raw = [rng.random() + 0.05 for _ in chosen]
                         z = sum(raw)
-                        trans[(t, s, x)] = [(c, w / z) for c, w in zip(chosen, raw)]
+                        a["next"] = {c: w / z for c, w in zip(chosen, raw)}
                     else:
-                        trans[(t, s, x)] = [(rng.choice(succ), 1.0)]
-    return DdsProblem(
-        n=n,
-        states=lambda t: states.get(t, []),
-        actions=lambda t, s: acts.get((t, s), []),
-        reward=lambda t, s, x: rewards[(t, s, x)],
-        transition=lambda t, s, x: trans.get((t, s, x), []),
-        alpha=rng.choice([1.0, 0.9]),
-    )
+                        a["next"] = {rng.choice(succ): 1.0}
+    tables["alpha"] = rng.choice([1.0, 0.9])
+    return DdsProblem.from_tables(tables)
 
 
 GD1_TABLES = {

@@ -10,14 +10,14 @@ import json
 import math
 import reprlib
 from dataclasses import replace
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Optional
 
 from .cofo import CofoError, CofoProblem, Hypothesis
 from .cogkit.chain import KbModel, Rule, deduction_rule, inversion_rule
-from .dds import DdsProblem
+from .dds import DdsError, DdsProblem
 from .metagraph import Atom, MgError, TypedMetagraph, decode_json, is_finite_number
 from .subpattern import SimplicityMeasure, disjoint_union
 
@@ -54,7 +54,6 @@ def _one_of(registry: dict) -> _Want:
                  lambda v: type(v) is str and v in registry)
 
 
-_ANY = _Want("any value", lambda v: True)
 _OBJECT = _object()
 _LIST = _Want("a list", lambda v: type(v) is list)
 _STRING = _Want("a string", lambda v: type(v) is str)
@@ -73,6 +72,23 @@ _ATOM, _SLOT = _object("id", "kind", "type"), _object("type")
 _HYPOTHESIS = _Want("an object holding a string 'name', a finite number 'prior' and a list 'table'",
                     lambda v: type(v) is dict and type(v.get("name")) is str
                     and is_finite_number(v.get("prior")) and type(v.get("table")) is list)
+# decision tables (`dict.get` and `dict.values` raise on all but a JSON object)
+_STAGES = _Want("an object keyed by stage numbers", lambda v: type(v) is dict
+                and all(k.isascii() and k.isdecimal() and k[0] != "0" for k in v))
+_NAMES = _Want("a list of strings", lambda v: type(v) is list and set(map(type, v)) <= {str})
+_ACTION = _Want("an object holding a string 'name', a finite number 'reward' and optionally "
+                "an object 'next' of finite numbers >= 0", lambda v: type(v) is dict
+                and type(v.get("name")) is str and is_finite_number(v.get("reward"))
+                and type(nxt := v.get("next", {})) is dict
+                and all(is_finite_number(pr) and pr >= 0 for pr in nxt.values()),
+                lambda vs: set(map(type, map(dict.get, vs, repeat("name")))) <= {str}
+                and _NUMBER.every(list(map(dict.get, vs, repeat("reward"))))
+                and _NUMBER.every(prs := list(chain.from_iterable(map(
+                    dict.values, map(dict.get, vs, repeat("next"), repeat({}))))))
+                and min(prs, default=0) >= 0)
+_ACTIONS = _Want("a list of actions, each " + _ACTION.what,
+                 lambda v: type(v) is list and all(map(_ACTION.test, v)),
+                 lambda vs: set(map(type, vs)) <= {list} and _ACTION.every(list(chain.from_iterable(vs))))
 _REQUIRED = object()
 
 
@@ -128,8 +144,9 @@ def load_json(path, decode=json.loads) -> dict:
     try:
         with f:
             data = decode(f.read())
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        # RecursionError: nesting deeper than the decoder's recursion limit
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad JSON or UTF-8, or an integer past int()'s digit limit (the
+        # metagraph hook never raises); RecursionError: nesting past the recursion limit
         raise FixtureError(f"{Path(path)}: invalid JSON ({exc})") from exc
     if not _OBJECT.test(data):
         _fail(path, "top level", data, _OBJECT)
@@ -156,13 +173,18 @@ def load_kb(path) -> KbModel:
 
 
 def load_dds(path) -> DdsProblem:
-    """Decision tables; `DdsProblem.from_tables` checks what the tables hold."""
+    """Decision tables: shapes are checked here, the rest by `DdsProblem.from_tables`."""
     data = load_json(path)
-    for name, want in (("stages", _ANY), ("states", _OBJECT), ("actions", _OBJECT)):
-        _field(path, data, name, want)
+    _field(path, data, "stages", _POSITIVE_INT)
+    _field(path, data, "alpha", _NUMBER, None)
+    states = _field(path, data, "states", _STAGES)
+    _every(path, _NAMES, ("states", list(states.values()), list(states)))
+    actions = _field(path, data, "actions", _STAGES)
+    _every(path, _OBJECT, ("actions", list(actions.values()), list(actions)))
+    _every(path, _ACTIONS, *((f"actions[{t!r}]", list(v.values()), list(v)) for t, v in actions.items()))
     try:
         return DdsProblem.from_tables(data)
-    except Exception as exc:
+    except DdsError as exc:
         raise FixtureError(f"{path}: malformed decision tables ({exc})") from exc
 
 

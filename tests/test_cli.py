@@ -35,6 +35,11 @@ REPO = FIXTURES.parent
 README_PINS = Path(__file__).resolve().parent / "readme_artifacts.sha256.json"
 SOCIAL = ["--fixture", FIXTURES / "kb_social.json"]
 
+# what the fixture checker says a decision-table state's actions must be
+ACTIONS_WANT = ("must be a list of actions, each an object holding a string 'name', a finite "
+                "number 'reward' and optionally an object 'next' of finite numbers >= 0")
+A2 = "{'name': 'a2', 'next': {'C': 1.0}, 'reward': 0}"  # gd1's second action at state A
+
 # runs each command (argv lists, JSON) in one process, output under argv[1]
 RUN_COMMANDS = """
 import json, sys
@@ -103,7 +108,8 @@ class TestLoaders:
 
 FIXTURE_KEYS = st.sampled_from(["rules", "formula", "name", "reversible", "domain", "objective",
                                 "hypotheses", "prior", "table", "rho", "combinators", "tol",
-                                "points", "k", "items", "ops", "sigma", "sigma_star"])
+                                "points", "k", "items", "ops", "sigma", "sigma_star", "stages",
+                                "states", "actions", "reward", "next", "alpha", "1", "A"])
 ANY_JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats()
     | st.sampled_from(["deduction", "left", "double", "length", "x", ""]),
@@ -127,7 +133,8 @@ def edited(draw, fixture):
 class TestFixtureLoadersRobust:
     @pytest.mark.parametrize("fixture, load", [
         ("rules.json", load_rules), ("cofo_two_hypotheses.json", load_cofo),
-        ("points_two_pairs.json", load_points), ("subpattern_doubling.json", load_subpattern)])
+        ("points_two_pairs.json", load_points), ("subpattern_doubling.json", load_subpattern),
+        ("gd1.json", load_dds)])
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_any_json_loads_or_is_a_fixture_error(self, fixture, load, data):
@@ -437,27 +444,43 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, fixture, edit, message", [
         *((["dds", "solve", "--fixture"], "gd1.json", edit, message) for edit, message in [
-            (lambda d: d.update(stages=-1), "stages must be an integer from 1 to 2, the number of "
-             "stages that declare states, got -1"),
-            (lambda d: d.update(stages=0), "got 0"),
+            (lambda d: d.update(stages=-1), "gd1.json: field 'stages' must be a positive integer, "
+             "got -1"),
+            (lambda d: d.update(stages=0), "field 'stages' must be a positive integer, got 0"),
             (lambda d: d.update(stages=10**400), "stages must be an integer from 1 to 2"),
             (lambda d: d.update(states={}), "stages must be an integer from 1 to 0"),
             (lambda d: d["states"].update({"1": []}), "stage 1 declares no state"),
-            (lambda d: d["states"].update({"2": ["B", 5]}), "stage 2 states must be a list of names"),
+            (lambda d: d["states"].update({"2": ["B", 5]}),
+             "gd1.json: states['2'] must be a list of strings, got ['B', 5]"),
             (lambda d: d["actions"]["1"]["A"][0].update(name=None),
-             "action None at stage 1, state 'A': its name must be a string"),
-            (lambda d: d["actions"]["1"]["A"][0].update(reward="x"), "reward 'x' is not a finite number"),
-            (lambda d: d["actions"]["1"]["A"][0].update(next=None), "its next an object"),
+             f"actions['1']['A'] {ACTIONS_WANT}, got [{{'name': None, 'next': {{'B': 1.0}}, "),
+            (lambda d: d["actions"]["1"]["A"][0].update(reward="x"),
+             f"actions['1']['A'] {ACTIONS_WANT}, got [{{'name': 'a1', 'next': {{'B': 1.0}}, "
+             "'reward': 'x'}, "),
+            (lambda d: d["actions"]["1"]["A"][0].update(next=None),
+             f"actions['1']['A'] {ACTIONS_WANT}, got [{{'name': 'a1', 'next': None, "),
             (lambda d: d["actions"]["1"]["A"][0].update(next={"B": "x"}),
-             "probability 'x' is not a finite number >= 0"),
+             f"actions['1']['A'] {ACTIONS_WANT}, got [{{'name': 'a1', 'next': {{'B': 'x'}}, "),
             (lambda d: d["actions"]["1"]["A"][0].update(next={"B": 2.0, "C": -1.0}),
-             "probability -1.0 is not a finite number >= 0"),
-            (lambda d: d.update(alpha=None), "alpha must be a finite number, got None"),
+             f"actions['1']['A'] {ACTIONS_WANT}, got [{{'name': 'a1', "
+             "'next': {'B': 2.0, 'C': -1.0}, "),
+            (lambda d: d.update(alpha=None), "field 'alpha' must be a finite number, got None"),
+            # shape faults that used to surface as interpreter text
+            (lambda d: d["actions"]["1"].update(A=5), f"gd1.json: actions['1']['A'] {ACTIONS_WANT}, "
+             "got 5"),
+            (lambda d: d["actions"].update(x=d["actions"].pop("2")),
+             "gd1.json: field 'actions' must be an object keyed by stage numbers, got {"),
+            (lambda d: d["actions"]["1"]["A"][0].pop("reward"),
+             f"actions['1']['A'] {ACTIONS_WANT}, got [{{'name': 'a1', 'next': {{'B': 1.0}}}}, {A2}]"),
+            (lambda d: d["actions"].update({"2": [d["actions"]["2"]["B"]]}),
+             "gd1.json: actions['2'] must be an object, got [[{'name': 'b', 'reward': 1}]]"),
+            (lambda d: d["actions"]["1"]["A"].__setitem__(0, 3),
+             f"gd1.json: actions['1']['A'] {ACTIONS_WANT}, got [3, {A2}]"),
         ]),
         # a nan reward: dp used to report "no action recorded", greedy a nan total
         *((["dds", *command, "--fixture"], "gd1.json",
            lambda d: d["actions"]["2"]["C"][0].update(reward=float("nan")),
-           "reward nan is not a finite number")
+           f"actions['2']['C'] {ACTIONS_WANT}, got [{{'name': 'c', 'reward': nan}}]")
           for command in (["solve", "--executor", "dp"], ["solve", "--executor", "greedy"],
                           ["compare"])),
         (["cofo", "run", "--fixture"], "cofo_two_hypotheses.json",
@@ -658,6 +681,20 @@ class TestNumbersAndFlags:
             if code != 2:
                 wrong.append(f"{list(where)} = {value!r}: {code}")
         assert wrong == []
+
+
+class TestHugeIntegers:
+    @pytest.mark.parametrize("fixture", sorted(FIXTURE_READERS))
+    def test_integer_past_the_conversion_limit_exits_2(self, tmp_path, fixture, capsys):
+        """A JSON integer of more digits than int() converts (4,300 by
+        default) is invalid JSON: exit 2 and one error line, no traceback."""
+        path = tmp_path / fixture
+        text = (FIXTURES / fixture).read_text()
+        path.write_text('{"n": ' + "9" * 5000 + ", " + text.lstrip()[1:])
+        assert run(*FIXTURE_READERS[fixture], path, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: invalid JSON (") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
 
 class TestDdsCommands:

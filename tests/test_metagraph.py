@@ -1041,3 +1041,30 @@ class TestLoadMetagraphRobust:
         path.write_bytes(raw)
         with pytest.raises(FixtureError, match="invalid JSON"):
             load_metagraph(path)
+
+
+class TestDecoderHookNeverRaises:
+    @settings(max_examples=100, deadline=None)
+    @given(value=st.dictionaries(JSON_KEYS, JSON_VALUES, max_size=6)
+           | st.builds(lambda atoms, rest: {**rest, "atoms": atoms},
+                       st.lists(atom_objects() | JSON_VALUES, max_size=4),
+                       st.dictionaries(JSON_KEYS, JSON_VALUES, max_size=3)),
+           huge=st.booleans())
+    def test_only_a_parse_fault_reads_as_invalid_json(self, value, huge):
+        """`load_json` catches ValueError around the decode call, so that an
+        integer past int()'s digit limit reads as invalid JSON.  That names
+        parse faults only because `decode_json`'s hook returns for every
+        object: any JSON object loads, or is invalid JSON exactly when it
+        holds such an integer."""
+        text = json.dumps(value)
+        if huge:
+            text = '{"n": ' + "9" * 5000 + (", " if value else "") + text[1:]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "mg.json"
+            path.write_text(text)
+            try:
+                fixtures.load_json(path, decode_json)
+            except FixtureError as exc:
+                assert huge and ": invalid JSON (" in str(exc)
+            else:
+                assert not huge
